@@ -172,23 +172,38 @@ def _strip_content(row):
     return row
 
 
-def _rank_rational(data):
-    """Rank over Q by integer-preserving sparse elimination.
+def sparse_rows(M, p=0):
+    """Rows of a dense matrix as {column: value} dicts, reduced mod p when p > 0."""
+    if p:
+        return [{j: v % p for j, v in enumerate(r) if v % p} for r in M.data]
+    return [{j: v for j, v in enumerate(r) if v} for r in M.data]
 
-    Rows are kept as {column: value} dicts with their content divided out;
-    the row update (pv/g)*row - (rv/g)*pivot is an invertible operation over
-    Q, so the rank is exact.
+
+def sparse_product(A, B):
+    """Product of two matrices given as sparse rows; ``B[c]`` is row c of B."""
+    out = []
+    for row in A:
+        acc = {}
+        for c, v in row.items():
+            for j, w in B[c].items():
+                acc[j] = acc.get(j, 0) + v * w
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def _rank_rational(rows):
+    """Rank over Q by integer-preserving sparse elimination; consumes ``rows``.
+
+    Rows are {column: value} dicts with their content divided out; the row
+    update (pv/g)*row - (rv/g)*pivot is an invertible operation over Q, so the
+    rank is exact.
     """
-    rows = []
-    for r in data:
-        d = {j: v for j, v in enumerate(r) if v}
-        if d:
-            rows.append(_strip_content(d))
+    rows = [_strip_content(r) for r in rows if r]
     rank = 0
-    while rows:
-        pi = min(range(len(rows)),
-                 key=lambda i: (len(rows[i]), min(map(abs, rows[i].values()))))
-        prow = rows.pop(pi)
+    while len(rows) > 1:
+        # Pivot row: fewest entries, then smallest magnitude, first on ties.
+        keys = [(len(r), min(map(abs, r.values()))) for r in rows]
+        prow = rows.pop(keys.index(min(keys)))
         pc, pv = min(prow.items(), key=lambda it: (abs(it[1]), it[0]))
         rank += 1
         nxt = []
@@ -211,19 +226,12 @@ def _rank_rational(data):
             if new:
                 nxt.append(_strip_content(new))
         rows = nxt
-    return rank
+    return rank + len(rows)
 
 
-def _rank_mod_p(data, p):
-    rows = []
-    for r in data:
-        d = {}
-        for j, v in enumerate(r):
-            v %= p
-            if v:
-                d[j] = v
-        if d:
-            rows.append(d)
+def _rank_mod_p(rows, p):
+    """Rank over F_p of sparse rows with entries in 1..p-1; consumes ``rows``."""
+    rows = [r for r in rows if r]
     rank = 0
     while rows:
         pi = min(range(len(rows)), key=lambda i: len(rows[i]))
@@ -253,9 +261,15 @@ def _rank_mod_p(data, p):
 
 
 def rank_over_field(M, characteristic):
-    """Rank of M over Q (characteristic 0) or over F_p (characteristic p)."""
-    if characteristic == 0:
-        return _rank_rational(M.data)
-    if not is_prime(characteristic):
+    """Rank of M over Q (characteristic 0) or over F_p (characteristic p).
+
+    M is an :class:`IntegerMatrix` or a list of sparse rows ``{column: value}``
+    as made by :func:`sparse_rows`; sparse rows are consumed, and over F_p
+    their entries must already lie in 1..p-1.
+    """
+    if characteristic and not is_prime(characteristic):
         raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
-    return _rank_mod_p(M.data, characteristic)
+    rows = sparse_rows(M, characteristic) if isinstance(M, IntegerMatrix) else M
+    if characteristic == 0:
+        return _rank_rational(rows)
+    return _rank_mod_p(rows, characteristic)

@@ -12,8 +12,9 @@ from functools import cached_property
 
 from .exact_linalg import is_prime
 
-# Blades fit in a machine-word bitmask below this rank; chain groups of
-# size 2^63 are far beyond reach anyway.
+# Largest rank a form document may declare.  This is a sanity cap, not a
+# feasibility limit: the chain groups have 2^rank generators in all, so
+# homology is only practical far below it.
 MAX_RANK = 63
 
 

@@ -4,7 +4,9 @@ Every 3-form with coefficients in [-coeff_max, coeff_max] is enumerated and
 its h recorded, keeping one witness per value.  The enumeration splits into
 shards by a prefix of the coefficient vector; merged results are independent
 of the shard schedule because the per-h witness is the one with the least
-serialized document, a commutative/associative/idempotent choice.
+serialized document, a commutative/associative/idempotent choice.  That
+choice is made without serializing anything: :func:`witness_key` orders
+same-rank forms exactly as their documents, and is computed once per form.
 
 Scans prove realization only: a value absent from a bounded scan is not
 thereby ruled out.
@@ -13,10 +15,11 @@ thereby ruled out.
 import json
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
 from .exterior import blade_basis
-from .forms import ThreeForm, serialize_form, trivial
+from .forms import ThreeForm, serialize_form
 from .homology import h_rank
 from .report import CheckReport
 
@@ -54,16 +57,37 @@ def _shard_layout(n_slots, base, shards):
     return prefix_len, space
 
 
-def _merge_witness(realized, h, form):
-    """Keep, per h, the witness with the lexicographically least document."""
-    h = int(h)
+def witness_key(form):
+    """Sort key that orders same-rank forms as :func:`serialize_form` documents do.
+
+    Documents of one rank agree up to their terms.  Each number in a term is
+    followed by ``,`` or a newline, both below every digit and ``-``, so terms
+    compare as tuples of the ``str`` of their numbers; a form whose terms
+    extend another's sorts after it.  The zero form's ``"terms": []`` puts
+    ``]`` where every other document has a newline, so it sorts last.
+    """
+    return (not form.terms, tuple(map(_term_key, form.terms)))
+
+
+@lru_cache(maxsize=1 << 12)
+def _term_key(term):
+    return tuple(map(str, term))
+
+
+def _merge_witness(realized, h, key, form):
+    """Keep, per h, the (key, form) pair with the least key."""
     old = realized.get(h)
-    if old is None or serialize_form(form) < serialize_form(old):
-        realized[h] = form
+    if old is None or key < old[0]:
+        realized[h] = (key, form)
+
+
+def _witnesses(realized):
+    """h -> witness form, ascending in h, from an h -> (key, form) map."""
+    return {h: form for h, (_, form) in sorted(realized.items())}
 
 
 def scan_shard(b, coeff_max, shards, shard_index):
-    """Scan one shard; returns (forms enumerated, partial realized map)."""
+    """Scan one shard; returns (forms enumerated, h -> (witness key, form))."""
     _check_params(b, coeff_max)
     if not 0 <= shard_index < shards:
         raise ValueError("shard index out of range")
@@ -81,7 +105,7 @@ def scan_shard(b, coeff_max, shards, shard_index):
             terms = tuple((i, j, k, a) for (i, j, k), a in zip(triples, coeffs) if a)
             form = ThreeForm(b, terms)
             count += 1
-            _merge_witness(realized, h_rank(form), form)
+            _merge_witness(realized, int(h_rank(form)), witness_key(form), form)
     return count, realized
 
 
@@ -95,11 +119,10 @@ def geography_scan(b, coeff_max, shards=1):
     for i in range(shards):
         count, part = scan_shard(b, coeff_max, shards, i)
         total += count
-        for h, form in part.items():
-            _merge_witness(realized, h, form)
-    realized = dict(sorted(realized.items()))
+        for h, (key, form) in part.items():
+            _merge_witness(realized, h, key, form)
     return GeographyResult(b=b, coeff_max=coeff_max, enumerated_count=total,
-                           realized=realized)
+                           realized=_witnesses(realized))
 
 
 def result_document(result):
@@ -161,12 +184,14 @@ def run_shard_to_checkpoint(b, coeff_max, shards, shard_index, out_path):
     if shard_index in state["completed"]:
         return False
     count, part = scan_shard(b, coeff_max, shards, shard_index)
-    realized = {int(h): ThreeForm(b, tuple(tuple(t) for t in terms))
-                for h, terms in state["partial"].items()}
-    for h, form in part.items():
-        _merge_witness(realized, h, form)
-    state["partial"] = {str(h): [list(t) for t in form.terms]
-                        for h, form in sorted(realized.items())}
+    realized = {}
+    for h, terms in state["partial"].items():
+        form = ThreeForm(b, tuple(tuple(t) for t in terms))
+        realized[int(h)] = (witness_key(form), form)
+    for h, (key, form) in part.items():
+        _merge_witness(realized, h, key, form)
+    witnesses = _witnesses(realized)
+    state["partial"] = {str(h): [list(t) for t in form.terms] for h, form in witnesses.items()}
     state["enumerated_count"] += count
     state["completed"] = sorted(set(state["completed"]) | {shard_index})
     tmp = f"{cp_path}.tmp"
@@ -177,7 +202,7 @@ def run_shard_to_checkpoint(b, coeff_max, shards, shard_index, out_path):
     if done:
         result = GeographyResult(b=b, coeff_max=coeff_max,
                                  enumerated_count=state["enumerated_count"],
-                                 realized=dict(sorted(realized.items())))
+                                 realized=witnesses)
         write_result(result, out_path)
     return done
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .cup_complex import boundary_matrix, build_mod3_complexes, empty_boundary_into
+from .cup_complex import boundary_matrix, boundary_rows, composites
 from .exact_linalg import is_prime, rank_over_field, smith_normal_form, _divisibility_chain
 from .forms import FormError, reduce_mod_p
 from .report import CheckReport
@@ -62,6 +62,13 @@ class CupHomologyResult:
     h: Fraction
 
 
+def _group(dim, rank_out, snf_in):
+    """ker/im at a degree of dimension dim, from rank(d_out) and the SNF of d_in
+    (None where no map enters the degree)."""
+    rank_in, factors = (snf_in.rank, snf_in.invariant_factors) if snf_in else (0, ())
+    return AbelianGroup.from_parts(dim - rank_out - rank_in, [d for d in factors if d > 1])
+
+
 def homology_group(d_out, d_in):
     """ker(d_out)/im(d_in) at the degree where d_out starts and d_in ends.
 
@@ -76,20 +83,24 @@ def homology_group(d_out, d_in):
         if not d_out.matrix.mul(d_in.matrix).is_zero():
             raise RuntimeError(
                 f"d_{d_out.source_degree} o d_{d_in.source_degree} != 0: not a chain complex")
-    snf_in = smith_normal_form(d_in.matrix)
-    free = dim - rank_over_field(d_out.matrix, 0) - snf_in.rank
-    return AbelianGroup.from_parts(free, [d for d in snf_in.invariant_factors if d > 1])
+    return _group(dim, rank_over_field(d_out.matrix, 0), smith_normal_form(d_in.matrix))
 
 
 def cup_homology(f):
-    """Full integral homology, split by exterior degree and by parity."""
+    """Full integral homology, split by exterior degree and by parity.
+
+    Each boundary map is eliminated once: its Smith normal form gives both
+    its rank (where it leaves a degree) and the torsion it cuts out (where
+    it enters one).  Every adjacent pair of maps is checked to compose to
+    zero.
+    """
     b = f.rank
-    groups = [None] * (b + 1)
-    for cx in build_mod3_complexes(f):
-        for pos, k in enumerate(cx.degrees):
-            d_out = cx.boundaries[pos - 1] if pos >= 1 else boundary_matrix(f, k)
-            d_in = cx.boundaries[pos] if pos < len(cx.boundaries) else empty_boundary_into(f, k)
-            groups[k] = homology_group(d_out, d_in)
+    for k, nonzeros in composites(f):
+        if nonzeros:
+            raise RuntimeError(f"d_{k - 3} o d_{k} != 0: not a chain complex")
+    snf = {k: smith_normal_form(boundary_matrix(f, k).matrix) for k in range(3, b + 1)}
+    groups = [_group(comb(b, k), snf[k].rank if k in snf else 0, snf.get(k + 3))
+              for k in range(b + 1)]
     even = direct_sum(groups[0::2])
     odd = direct_sum(groups[1::2])
     h = Fraction(1, 2) if b == 0 else Fraction(even.free_rank)
@@ -99,10 +110,8 @@ def cup_homology(f):
 
 def _degree_ranks(f, characteristic):
     """rank of every boundary map over the given field, indexed by source degree."""
-    ranks = {}
-    for k in range(3, f.rank + 1):
-        ranks[k] = rank_over_field(boundary_matrix(f, k).matrix, characteristic)
-    return ranks
+    return {k: rank_over_field(boundary_rows(f, k, characteristic), characteristic)
+            for k in range(3, f.rank + 1)}
 
 
 def h_rank(f):

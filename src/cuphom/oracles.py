@@ -2,12 +2,14 @@
 
 Two oracles live here: a closed form for the homology of a
 surface-times-circle cup complex, and a plain dense Gaussian elimination
-that recomputes field ranks without touching the Smith normal form code.
+that recomputes field ranks on matrices it builds itself by contraction,
+touching neither the compiled boundary maps nor the rank and Smith normal
+form code of the main pipeline.
 """
 
 from math import comb
 
-from .cup_complex import boundary_matrix
+from .exterior import blade_basis, contract
 from .homology import AbelianGroup, direct_sum
 
 
@@ -119,11 +121,24 @@ def _dense_rank_modp(data, p):
     return rank
 
 
+def contraction_matrix(f, k):
+    """Dense matrix of d_k (rows of list) built blade by blade with :func:`contract`."""
+    rows = blade_basis(f.rank, k - 3)
+    cols = blade_basis(f.rank, k)
+    row_index = {blade: i for i, blade in enumerate(rows)}
+    data = [[0] * len(cols) for _ in rows]
+    for c, blade in enumerate(cols):
+        for rest, val in contract(f.coeffs, blade).items():
+            data[row_index[rest]][c] = val
+    return data
+
+
 def field_homology_oracle(f, characteristic):
     """Per-degree homology dimensions over Q or F_p by dense elimination.
 
-    Shares the boundary-matrix construction with the main pipeline but none
-    of its rank or normal-form code.
+    Builds its own matrices by contraction (:func:`contraction_matrix`) and
+    shares no matrix construction, rank or normal-form code with the main
+    pipeline.
     """
     if characteristic != 0:
         if characteristic < 2 or any(characteristic % d == 0
@@ -132,7 +147,7 @@ def field_homology_oracle(f, characteristic):
     b = f.rank
     ranks = {}
     for k in range(3, b + 1):
-        data = boundary_matrix(f, k).matrix.data
+        data = contraction_matrix(f, k)
         if characteristic == 0:
             ranks[k] = _dense_rank_char0(data)
         else:

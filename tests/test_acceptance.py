@@ -14,7 +14,7 @@ from conftest import random_form, seeded
 from cuphom.combinatorics import euler_sum, lower_bound_L, verify_identities
 from cuphom.cup_complex import boundary_matrix, verify_d_squared
 from cuphom.exact_linalg import smith_normal_form
-from cuphom.forms import (connected_sum, mapping_torus, negate,
+from cuphom.forms import (ThreeForm, connected_sum, mapping_torus, negate,
                           permute_indices, surface_circle, torus3, trivial)
 from cuphom.geography import (check_reducible_constraints, geography_scan,
                               write_result)
@@ -205,6 +205,12 @@ def test_c4_geography():
     with criterion("criterion 4c: b=5 coeff_max=1 contains 10, 12, 16", budget=1800.0):
         results[5] = geography_scan(5, 1)
         assert {10, 12, 16} <= set(results[5].realized)
+        # The least-document witnesses, as first computed by serializing forms.
+        assert results[5].realized == {
+            10: ThreeForm(5, ((1, 2, 3, -1), (1, 2, 4, -1), (1, 2, 5, -1), (1, 3, 4, -1))),
+            12: ThreeForm(5, ((1, 2, 3, -1),)),
+            16: trivial(5),
+        }
     with criterion("criterion 4d: block-structured b=5 witnesses have h in {12, 16}"):
         rep = check_reducible_constraints(results[5])
         assert rep.ok, rep.failures()

@@ -4,10 +4,11 @@ import pytest
 
 from conftest import random_form, seeded
 
-from cuphom.cup_complex import (boundary_matrix, build_mod3_complexes,
+from cuphom.cup_complex import (boundary_matrix, boundary_rows, build_mod3_complexes,
                                 dump_boundary_matrices, render_matrix_grid,
                                 verify_d_squared)
 from cuphom.forms import ThreeForm, surface_circle, torus3, trivial
+from cuphom.oracles import contraction_matrix
 
 
 def test_boundary_matrix_torus():
@@ -81,6 +82,22 @@ def test_boundary_entries_bounded():
             m = boundary_matrix(f, k).matrix
             bound = comb(k, 3) * peak
             assert all(abs(v) <= bound for row in m.data for v in row)
+
+
+def test_compiled_maps_match_contraction():
+    # The compiled entry tables give, entry by entry, the matrices that
+    # exterior.contract builds blade by blade, over Z and mod p, in every degree.
+    rng = seeded(2026)
+    forms = [trivial(b) for b in (0, 3, 8)]
+    forms += [random_form(rng, rng.randint(1, 8)) for _ in range(60)]
+    for f in forms:
+        for k in range(f.rank + 1):
+            dense = contraction_matrix(f, k)
+            assert boundary_matrix(f, k).matrix.data == dense
+            for p in (0, 2, 3, 5):
+                reduced = [[v % p if p else v for v in row] for row in dense]
+                want = [{c: v for c, v in enumerate(row) if v} for row in reduced]
+                assert boundary_rows(f, k, p) == want
 
 
 def test_mod3_partition():

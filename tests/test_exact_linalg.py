@@ -38,6 +38,10 @@ def test_rank_over_field_basic():
     assert rank_over_field(M([[1, 1], [1, 1]]), 5) == 1
     assert rank_over_field(boundary_matrix(torus3(6), 3).matrix, 3) == 0
     assert rank_over_field(boundary_matrix(torus3(6), 3).matrix, 5) == 1
+    # Sparse {column: value} rows, as the compiled boundary maps give them.
+    assert rank_over_field([{0: 1, 1: 1}, {}, {0: 1, 1: 1}], 0) == 1
+    assert rank_over_field([{0: 2, 1: 4}, {1: 3}], 0) == 2
+    assert rank_over_field([{0: 1, 1: 2}, {0: 2, 1: 1}], 3) == 1
 
 
 def test_rank_rejects_composite_characteristic():

@@ -1,12 +1,19 @@
 import json
+from math import comb
+from pathlib import Path
 
 import pytest
 
-from cuphom.forms import connected_sum, trivial
+from conftest import seeded
+
+from cuphom.exterior import blade_basis
+from cuphom.forms import ThreeForm, connected_sum, serialize_form, trivial
 from cuphom.geography import (GeographyResult, check_reducible_constraints,
                               geography_scan, load_result,
-                              run_shard_to_checkpoint, write_result)
+                              run_shard_to_checkpoint, witness_key, write_result)
 from cuphom.homology import h_rank
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_scan_b3():
@@ -128,3 +135,45 @@ def test_reducible_constraints_reject_large_rank():
     res = GeographyResult(b=6, coeff_max=1, enumerated_count=0, realized={})
     with pytest.raises(ValueError):
         check_reducible_constraints(res)
+
+
+@pytest.mark.parametrize("b, coeff_max", [(3, 2), (4, 1), (4, 2)])
+def test_result_documents_match_golden(b, coeff_max, tmp_path):
+    # Documents pinned before witnesses were chosen by key instead of by
+    # serialized document; every shard schedule must still reproduce them.
+    want = (GOLDEN / f"geography_b{b}_c{coeff_max}.json").read_bytes()
+    for shards in (1, 8, 81):
+        path = tmp_path / f"direct-{shards}.json"
+        write_result(geography_scan(b, coeff_max, shards=shards), path)
+        assert path.read_bytes() == want
+    out = tmp_path / "checkpointed.json"
+    for i in reversed(range(8)):
+        run_shard_to_checkpoint(b, coeff_max, 8, i, out)
+    assert out.read_bytes() == want
+
+
+def _sign(x, y):
+    return (x > y) - (x < y)
+
+
+def test_witness_key_orders_like_documents():
+    rng = seeded(3141)
+    values = (-150, -100, -12, -10, -9, -2, -1, 1, 2, 9, 10, 11, 99, 100, 123)
+
+    def random_terms(b):
+        triples = rng.sample(blade_basis(b, 3), rng.randint(0, min(4, comb(b, 3))))
+        return sorted(t + (rng.choice(values),) for t in triples)
+
+    for _ in range(3000):
+        b = rng.randint(3, 13)
+        terms = random_terms(b)
+        f = ThreeForm(b, tuple(terms))
+        variants = [random_terms(b), [], terms[:-1], terms[:-1] + random_terms(b)[:1]]
+        if terms:
+            i, j, k, _ = terms[-1]
+            variants.append(terms[:-1] + [(i, j, k, rng.choice(values))])
+        for other in variants:
+            coeffs = {tuple(t[:3]): t[3] for t in other}
+            g = ThreeForm.from_coeffs(b, coeffs)
+            assert (_sign(witness_key(f), witness_key(g))
+                    == _sign(serialize_form(f), serialize_form(g))), (f, g)

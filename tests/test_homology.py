@@ -1,11 +1,12 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
 from conftest import random_form, seeded
 
 from cuphom.cup_complex import boundary_matrix, empty_boundary_into
-from cuphom.forms import (FormError, connected_sum, negate, permute_indices,
+from cuphom.forms import (FormError, ThreeForm, connected_sum, negate, permute_indices,
                           surface_circle, torus3, trivial)
 from cuphom.homology import (AbelianGroup, cup_homology, direct_sum, h_mod_p,
                              h_rank, homology_group, k_p, mod_p_degree_dims,
@@ -56,6 +57,43 @@ def test_homology_group_rejects_nonchain():
     d_in = BoundaryMatrix(6, 3, IntegerMatrix.from_rows([[1]]))
     with pytest.raises(RuntimeError, match="not a chain complex"):
         homology_group(d_out, d_in)
+
+
+def test_cup_homology_eliminates_each_map_once(monkeypatch):
+    import cuphom.homology as hom
+
+    shapes = []
+    real_snf = hom.smith_normal_form
+
+    def counted_snf(M):
+        shapes.append((M.rows, M.cols))
+        return real_snf(M)
+
+    def no_rank(*args):
+        raise AssertionError("cup_homology takes every rank from a Smith normal form")
+
+    monkeypatch.setattr(hom, "smith_normal_form", counted_snf)
+    monkeypatch.setattr(hom, "rank_over_field", no_rank)
+    assert cup_homology(surface_circle(3)).h == 35
+    assert shapes == [(comb(7, k - 3), comb(7, k)) for k in range(3, 8)]
+
+
+def test_cup_homology_rejects_nonchain(monkeypatch):
+    import cuphom.cup_complex as cc
+
+    real = cc.boundary_rows
+
+    def doubled_first_row(f, k, p=0):
+        rows = real(f, k, p)
+        if k == 6:
+            rows[0] = {c: 2 * v for c, v in rows[0].items()}
+        return rows
+
+    monkeypatch.setattr(cc, "boundary_rows", doubled_first_row)
+    f = ThreeForm(6, ((1, 2, 3, 1), (4, 5, 6, 1)))
+    assert [item.name for item in cc.verify_d_squared(f).failures()] == ["d_3 o d_6 = 0"]
+    with pytest.raises(RuntimeError, match="not a chain complex"):
+        cup_homology(f)
 
 
 def test_cup_homology_torus_family():
