@@ -23,7 +23,7 @@ from .homology import (
     uct_check,
 )
 from .combinatorics import bounds_report, euler_sum, lower_bound_L, verify_identities
-from .cup_complex import boundary_matrix, build_mod3_complexes, verify_d_squared
+from .cup_complex import boundary_rows, verify_d_squared
 from .geography import check_reducible_constraints, geography_scan
 from .oracles import field_homology_oracle, surface_circle_expected, surface_circle_group
 
@@ -32,9 +32,8 @@ __all__ = [
     "CupHomologyResult",
     "FormError",
     "ThreeForm",
-    "boundary_matrix",
+    "boundary_rows",
     "bounds_report",
-    "build_mod3_complexes",
     "builtin_family",
     "check_reducible_constraints",
     "connected_sum",

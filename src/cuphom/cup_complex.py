@@ -1,4 +1,4 @@
-"""Boundary maps of the contraction differential and mod-3 subcomplexes.
+"""Boundary maps of the contraction differential, as sparse rows.
 
 The differential drops exterior degree by 3, so the degree-graded complex
 splits into three subcomplexes indexed by degree mod 3; homology in a fixed
@@ -8,39 +8,19 @@ Where the entries of d_k sit depends only on (b, k): the entry in row
 ``rest`` and column ``blade`` is ±mu(t) for the one triple t with
 ``blade = rest ∪ t``.  That pattern is compiled once per (b, k), lazily, into
 an entry table grouped by triple, and every map is filled from it: a form
-only supplies the values of its nonzero triples.  The rank-only path takes
-sparse rows (:func:`boundary_rows`); Smith normal form and the text dumps
-take dense matrices (:func:`boundary_matrix`).
+only supplies the values of its nonzero triples.  :func:`boundary_rows` is
+the one builder; ranks, Smith normal form, the d∘d check and the text dumps
+all take its ``{column: value}`` rows.
 """
 
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
-from .exact_linalg import IntegerMatrix, sparse_product
+from .exact_linalg import sparse_product
 from .exterior import blade_basis
 from .report import CheckReport
-
-
-@dataclass(frozen=True)
-class BoundaryMatrix:
-    """Matrix of the differential from exterior degree k to k - 3.
-
-    Rows and columns follow :func:`blade_basis` order; for k < 3 the matrix
-    has zero rows.
-    """
-
-    source_degree: int
-    target_degree: int
-    matrix: IntegerMatrix
-
-
-@dataclass(frozen=True)
-class Mod3Complex:
-    residue: int
-    degrees: tuple
-    boundaries: tuple  # boundaries[i] maps degrees[i + 1] -> degrees[i]
 
 
 @lru_cache(maxsize=None)
@@ -68,10 +48,10 @@ def _entry_table(b, k):
             rest = tuple(x for i, x in enumerate(blade) if i not in pos)
             # 1-based positions sum to pos sum + 3, flipping the parity.
             runs[slots[triple]][sum(pos) % 2 == 0].append((row_index[rest], c))
-    # Two-byte indices while they fit: the tables are kept for the life of
-    # the process, and at b = 11 they already hold 42k entries.
-    code = "H" if max(len(row_index), len(blade_basis(b, k))) <= 1 << 16 else "L"
-    rows, cols, starts = array(code), array(code), array("L", [0])
+    # Two-byte indices: forms.MAX_RANK keeps every blade index below
+    # C(16, 8) = 12870 < 2^16.  The tables are kept for the life of the
+    # process, and at b = 11 they already hold 42k entries.
+    rows, cols, starts = array("H"), array("H"), array("L", [0])
     for run in runs:
         for entries in run:
             for r, c in entries:
@@ -86,15 +66,21 @@ def _check_degree(b, k):
         raise ValueError(f"degree {k} out of range 0..{b}")
 
 
-def _fill(target, f, k, p):
-    """Write the entries of d_k into ``target[row][col]``, mod p when p > 0.
+def boundary_rows(f, k, p=0):
+    """Every row of d_k as a sparse ``{column: value}`` dict (empty rows kept).
 
-    Each (row, col) comes from exactly one triple, so nothing is summed.
+    Over Z when p == 0; over F_p otherwise, with entries in 1..p-1.  Rows
+    and columns follow :func:`blade_basis` order (degrees k - 3 and k); for
+    k < 3 there are no rows.  The caller owns the dicts.  Each (row, col)
+    comes from exactly one triple, so nothing is summed.
     """
+    b = f.rank
+    _check_degree(b, k)
+    target = [{} for _ in blade_basis(b, k - 3)]
     if k < 3:
         return target
-    rows, cols, starts = _entry_table(f.rank, k)
-    slots = _triple_slots(f.rank)
+    rows, cols, starts = _entry_table(b, k)
+    slots = _triple_slots(b)
     for i, j, m, a in f.terms:
         plus, minus = (a % p, -a % p) if p else (a, -a)
         if not plus:
@@ -108,54 +94,22 @@ def _fill(target, f, k, p):
     return target
 
 
-def boundary_rows(f, k, p=0):
-    """Every row of d_k as a sparse ``{column: value}`` dict (empty rows kept).
-
-    Over Z when p == 0; over F_p otherwise, with entries in 1..p-1.  Rows are
-    indexed as in :func:`boundary_matrix`; the caller owns the dicts.
-    """
-    _check_degree(f.rank, k)
-    return _fill([{} for _ in blade_basis(f.rank, k - 3)], f, k, p)
-
-
-def boundary_matrix(f, k):
-    """Differential out of exterior degree k, as a dense integer matrix."""
-    b = f.rank
-    _check_degree(b, k)
-    n_rows, n_cols = len(blade_basis(b, k - 3)), len(blade_basis(b, k))
-    data = _fill([[0] * n_cols for _ in range(n_rows)], f, k, 0)
-    return BoundaryMatrix(k, k - 3, IntegerMatrix(n_rows, n_cols, data))
-
-
-def empty_boundary_into(f, k):
-    """Zero-column placeholder for the (nonexistent) map from degree k + 3."""
-    n = len(blade_basis(f.rank, k))
-    return BoundaryMatrix(k + 3, k, IntegerMatrix(n, 0, [[] for _ in range(n)]))
-
-
-def build_mod3_complexes(f):
-    """The three subcomplexes covering degrees 0..rank exactly once."""
-    out = []
-    for residue in range(3):
-        degrees = tuple(range(residue, f.rank + 1, 3))
-        boundaries = tuple(boundary_matrix(f, k) for k in degrees[1:])
-        out.append(Mod3Complex(residue, degrees, boundaries))
-    return tuple(out)
-
-
 def composites(f):
-    """Yield (k, nonzero (row, col) entries of d_{k-3} o d_k) for every adjacent pair.
+    """Yield (k, rows of d_k, nonzero (row, col) entries of d_{k-3} o d_k) for k >= 3.
 
-    Pairs come subcomplex by subcomplex (degree mod 3), and at most two maps
-    are held at a time.
+    The entries are None where no map leaves degree k - 3 (k < 6).  Maps
+    come subcomplex by subcomplex (degree mod 3), each built once, and at
+    most two are held at a time; callers must not modify the rows.
     """
     for residue in range(3):
         prev = None
         for k in range(residue + 3, f.rank + 1, 3):
             cur = boundary_rows(f, k)
+            bad = None
             if prev is not None:
                 product = sparse_product(prev, cur)
-                yield k, [(r, c) for r, row in enumerate(product) for c in row]
+                bad = [(r, c) for r, row in enumerate(product) for c in row]
+            yield k, cur, bad
             prev = cur
 
 
@@ -166,7 +120,9 @@ def verify_d_squared(f):
     is contraction by mu ^ mu, which vanishes identically.
     """
     rep = CheckReport(f"d-squared on rank {f.rank}")
-    for k, bad in composites(f):
+    for k, _, bad in composites(f):
+        if bad is None:
+            continue
         bad = [(k, r, c) for r, c in bad]
         rep.add(f"d_{k - 3} o d_{k} = 0", not bad,
                 "" if not bad else f"nonzero at {bad[:5]}")
@@ -175,9 +131,10 @@ def verify_d_squared(f):
     return rep
 
 
-def render_matrix_grid(M):
-    """Plain-text dump: one row per line, space-separated integers."""
-    return "\n".join(" ".join(str(v) for v in row) for row in M.data) + "\n"
+def render_matrix_grid(rows, n_cols):
+    """Plain-text dump of sparse rows: one row per line, space-separated integers."""
+    return "\n".join(" ".join(str(row.get(c, 0)) for c in range(n_cols))
+                     for row in rows) + "\n"
 
 
 def dump_boundary_matrices(f, directory):
@@ -189,6 +146,6 @@ def dump_boundary_matrices(f, directory):
     for k in range(3, f.rank + 1):
         path = os.path.join(directory, f"boundary_{k}.txt")
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(render_matrix_grid(boundary_matrix(f, k).matrix))
+            fh.write(render_matrix_grid(boundary_rows(f, k), comb(f.rank, k)))
         paths.append(path)
     return paths

@@ -1,54 +1,13 @@
 """Exact integer linear algebra: Smith normal form and ranks over Q or F_p.
 
-All arithmetic uses Python's arbitrary-precision integers; intermediate
-values of an elimination are allowed to grow without any overflow semantics.
+Every matrix is a list of sparse rows, one ``{column: value}`` dict per row
+with zero entries left out; row i of the list is row i of the matrix.  All
+arithmetic uses Python's arbitrary-precision integers; intermediate values
+of an elimination are allowed to grow without any overflow semantics.
 """
 
 from dataclasses import dataclass
 from math import gcd, isqrt
-
-
-class IntegerMatrix:
-    """Dense exact-integer matrix stored as a list of row lists."""
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows, cols, data):
-        if len(data) != rows or any(len(r) != cols for r in data):
-            raise ValueError("matrix data does not match declared shape")
-        self.rows = rows
-        self.cols = cols
-        self.data = data
-
-    @classmethod
-    def from_rows(cls, data):
-        data = [list(r) for r in data]
-        cols = len(data[0]) if data else 0
-        return cls(len(data), cols, data)
-
-    @classmethod
-    def zero(cls, rows, cols):
-        return cls(rows, cols, [[0] * cols for _ in range(rows)])
-
-    def is_zero(self):
-        return all(not v for row in self.data for v in row)
-
-    def mul(self, other):
-        if self.cols != other.rows:
-            raise ValueError("incompatible shapes for multiplication")
-        ot = list(zip(*other.data)) if other.data else []
-        out = []
-        for row in self.data:
-            out.append([sum(a * b for a, b in zip(row, col)) for col in ot]
-                       if ot else [0] * other.cols)
-        return IntegerMatrix(self.rows, other.cols, out)
-
-    def __eq__(self, other):
-        return (isinstance(other, IntegerMatrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
-
-    def __repr__(self):
-        return f"IntegerMatrix({self.rows}x{self.cols})"
 
 
 @dataclass(frozen=True)
@@ -105,10 +64,17 @@ def _round_div(a, b):
     return q
 
 
-def smith_normal_form(M):
-    """Invariant factors of an integer matrix, in divisibility order."""
-    m, n = M.rows, M.cols
-    D = [row[:] for row in M.data]
+def smith_normal_form(rows):
+    """Invariant factors of an integer matrix of sparse rows, in divisibility order.
+
+    Zero rows and zero columns carry no invariant factors, so only the
+    nonempty rows are densified, over the columns they use.  ``rows`` is
+    left unchanged.
+    """
+    rows = [r for r in rows if r]
+    used = sorted({j for r in rows for j in r})
+    D = [[r.get(j, 0) for j in used] for r in rows]
+    m, n = len(D), len(used)
 
     for k in range(min(m, n)):
         while True:
@@ -170,13 +136,6 @@ def _strip_content(row):
         for j in row:
             row[j] //= g
     return row
-
-
-def sparse_rows(M, p=0):
-    """Rows of a dense matrix as {column: value} dicts, reduced mod p when p > 0."""
-    if p:
-        return [{j: v % p for j, v in enumerate(r) if v % p} for r in M.data]
-    return [{j: v for j, v in enumerate(r) if v} for r in M.data]
 
 
 def sparse_product(A, B):
@@ -260,16 +219,13 @@ def _rank_mod_p(rows, p):
     return rank
 
 
-def rank_over_field(M, characteristic):
-    """Rank of M over Q (characteristic 0) or over F_p (characteristic p).
+def rank_over_field(rows, characteristic):
+    """Rank of sparse rows over Q (characteristic 0) or over F_p (characteristic p).
 
-    M is an :class:`IntegerMatrix` or a list of sparse rows ``{column: value}``
-    as made by :func:`sparse_rows`; sparse rows are consumed, and over F_p
-    their entries must already lie in 1..p-1.
+    The rows are consumed; over F_p their entries must already lie in 1..p-1.
     """
     if characteristic and not is_prime(characteristic):
         raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
-    rows = sparse_rows(M, characteristic) if isinstance(M, IntegerMatrix) else M
     if characteristic == 0:
         return _rank_rational(rows)
     return _rank_mod_p(rows, characteristic)

@@ -12,10 +12,13 @@ from functools import cached_property
 
 from .exact_linalg import is_prime
 
-# Largest rank a form document may declare.  This is a sanity cap, not a
-# feasibility limit: the chain groups have 2^rank generators in all, so
-# homology is only practical far below it.
-MAX_RANK = 63
+# Largest rank a form may have: a feasibility limit, checked before any
+# matrix is built.  At b = 16 the largest boundary map has
+# max_k C(b, k) * C(k, 3) = C(16, 9) * C(9, 3) = 960,960 entries, and every
+# blade index is below C(16, 8) = 12870 < 2^16, which the compiled entry
+# tables of cup_complex rely on.  The chain groups have 2^rank generators in
+# all, so full homology is routine only well below this cap.
+MAX_RANK = 16
 
 
 class FormError(ValueError):

@@ -2,7 +2,9 @@
 
 The two-periodic homology is reported through its even and odd parts; the
 common rank h is an integer for rank >= 1 and 1/2 by convention for rank 0
-(rational homology spheres).
+(rational homology spheres).  Every boundary map arrives as the sparse rows
+of :func:`cuphom.cup_complex.boundary_rows`: the integral groups take one
+Smith normal form per map, the field invariants one rank per map.
 """
 
 import math
@@ -10,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .cup_complex import boundary_matrix, boundary_rows, composites
+from .cup_complex import boundary_rows, composites
 from .exact_linalg import is_prime, rank_over_field, smith_normal_form, _divisibility_chain
-from .forms import FormError, reduce_mod_p
+from .forms import FormError
 from .report import CheckReport
 
 
@@ -69,36 +71,21 @@ def _group(dim, rank_out, snf_in):
     return AbelianGroup.from_parts(dim - rank_out - rank_in, [d for d in factors if d > 1])
 
 
-def homology_group(d_out, d_in):
-    """ker(d_out)/im(d_in) at the degree where d_out starts and d_in ends.
-
-    Free rank is dim - rank(d_out) - rank(d_in); torsion is the nonunit part
-    of the invariant factors of d_in.  A nonzero composite is a hard error:
-    the complex itself is broken.
-    """
-    dim = d_out.matrix.cols
-    if d_in.matrix.rows != dim:
-        raise ValueError("boundary maps do not meet in a common degree")
-    if d_out.matrix.rows and d_in.matrix.cols:
-        if not d_out.matrix.mul(d_in.matrix).is_zero():
-            raise RuntimeError(
-                f"d_{d_out.source_degree} o d_{d_in.source_degree} != 0: not a chain complex")
-    return _group(dim, rank_over_field(d_out.matrix, 0), smith_normal_form(d_in.matrix))
-
-
 def cup_homology(f):
     """Full integral homology, split by exterior degree and by parity.
 
-    Each boundary map is eliminated once: its Smith normal form gives both
-    its rank (where it leaves a degree) and the torsion it cuts out (where
-    it enters one).  Every adjacent pair of maps is checked to compose to
-    zero.
+    Each boundary map is built and eliminated once: its Smith normal form
+    gives both its rank (where it leaves a degree) and the torsion it cuts
+    out (where it enters one).  Every adjacent pair of maps is checked to
+    compose to zero; a nonzero composite is a hard error, since the complex
+    itself is broken.
     """
     b = f.rank
-    for k, nonzeros in composites(f):
+    snf = {}
+    for k, rows, nonzeros in composites(f):
         if nonzeros:
             raise RuntimeError(f"d_{k - 3} o d_{k} != 0: not a chain complex")
-    snf = {k: smith_normal_form(boundary_matrix(f, k).matrix) for k in range(3, b + 1)}
+        snf[k] = smith_normal_form(rows)
     groups = [_group(comb(b, k), snf[k].rank if k in snf else 0, snf.get(k + 3))
               for k in range(b + 1)]
     even = direct_sum(groups[0::2])
@@ -134,10 +121,9 @@ def mod_p_degree_dims(f, p):
     """F_p dimension of the mod-p homology in each exterior degree."""
     if not is_prime(p):
         raise FormError(f"{p} is not prime")
-    g = reduce_mod_p(f, p)
-    ranks = _degree_ranks(g, p)
-    return [comb(g.rank, k) - ranks.get(k, 0) - ranks.get(k + 3, 0)
-            for k in range(g.rank + 1)]
+    ranks = _degree_ranks(f, p)
+    return [comb(f.rank, k) - ranks.get(k, 0) - ranks.get(k + 3, 0)
+            for k in range(f.rank + 1)]
 
 
 def h_mod_p(f, p):

@@ -12,7 +12,7 @@ from math import comb
 from conftest import random_form, seeded
 
 from cuphom.combinatorics import euler_sum, lower_bound_L, verify_identities
-from cuphom.cup_complex import boundary_matrix, verify_d_squared
+from cuphom.cup_complex import boundary_rows, verify_d_squared
 from cuphom.exact_linalg import smith_normal_form
 from cuphom.forms import (ThreeForm, connected_sum, mapping_torus, negate,
                           permute_indices, surface_circle, torus3, trivial)
@@ -147,7 +147,7 @@ def test_c2e_uct_and_field_oracle():
             for p in (2, 3, 5):
                 rep = uct_check(f, p)
                 assert rep.ok, rep.failures()
-            snfs = {k: smith_normal_form(boundary_matrix(f, k).matrix)
+            snfs = {k: smith_normal_form(boundary_rows(f, k))
                     for k in range(3, f.rank + 1)}
             for p in (0, 2, 3, 5):
                 ranks = {k: (s.rank if p == 0

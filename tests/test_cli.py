@@ -150,6 +150,23 @@ def test_malformed_form_exit2(tmp_path, capsys):
     assert "increasing" in capsys.readouterr().err
 
 
+def test_infeasible_rank_exit2(tmp_path, capsys, monkeypatch):
+    # Rank 17 is past the feasibility cap: refused before any map is built.
+    import cuphom.cup_complex as cc
+    import cuphom.homology as hom
+
+    def no_build(*args):
+        raise AssertionError("a boundary map was built")
+
+    for module in (cc, hom):
+        monkeypatch.setattr(module, "boundary_rows", no_build)
+    monkeypatch.setattr(cc, "_entry_table", no_build)
+    path = tmp_path / "r17.json"
+    path.write_text('{"rank": 17, "terms": [[1, 2, 3, 1]]}')
+    assert main(["h", str(path)]) == 2
+    assert "exceeds" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_exit2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

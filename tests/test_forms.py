@@ -26,6 +26,7 @@ def test_parse_drops_zero_coefficients():
     ('{"rank": 3, "terms": [[1, 2, 3, 1], [1, 2, 3, 2]]}', "duplicate"),
     ('{"rank": 3, "terms": [[1, 2, 3, 1], [1, 2, 3, 0]]}', "duplicate"),
     ('{"rank": 64, "terms": []}', "exceeds"),
+    ('{"rank": 17, "terms": [[1, 2, 3, 1]]}', "exceeds"),
     ('{"rank": -1, "terms": []}', "nonnegative"),
     ('{"rank": 3}', 'needs both'),
     ('{"rank": 3, "terms": [[1, 2, 3]]}', "quadruple"),
@@ -111,8 +112,9 @@ def test_connected_sum_identity_and_associativity():
 
 
 def test_connected_sum_rank_cap():
+    assert connected_sum(trivial(8), trivial(8)) == trivial(16)
     with pytest.raises(FormError, match="exceeds"):
-        connected_sum(trivial(32), trivial(32))
+        connected_sum(trivial(9), trivial(9))
 
 
 def test_reduce_mod_p():
