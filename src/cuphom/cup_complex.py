@@ -72,19 +72,19 @@ def boundary_rows(f, k, p=0):
     Over Z when p == 0; over F_p otherwise, with entries in 1..p-1.  Rows
     and columns follow :func:`blade_basis` order (degrees k - 3 and k); for
     k < 3 there are no rows.  The caller owns the dicts.  Each (row, col)
-    comes from exactly one triple, so nothing is summed.
+    comes from exactly one triple, so nothing is summed.  When no term
+    survives (mod p), the map is zero and the entry table is not built.
     """
     b = f.rank
     _check_degree(b, k)
     target = [{} for _ in blade_basis(b, k - 3)]
-    if k < 3:
+    terms = [t for t in f.terms if t[3] % p] if p else f.terms
+    if k < 3 or not terms:
         return target
     rows, cols, starts = _entry_table(b, k)
     slots = _triple_slots(b)
-    for i, j, m, a in f.terms:
+    for i, j, m, a in terms:
         plus, minus = (a % p, -a % p) if p else (a, -a)
-        if not plus:
-            continue
         s = 2 * slots[i, j, m]
         lo, mid, hi = starts[s], starts[s + 1], starts[s + 2]
         for e in range(lo, mid):

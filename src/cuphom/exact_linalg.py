@@ -4,6 +4,13 @@ Every matrix is a list of sparse rows, one ``{column: value}`` dict per row
 with zero entries left out; row i of the list is row i of the matrix.  All
 arithmetic uses Python's arbitrary-precision integers; intermediate values
 of an elimination are allowed to grow without any overflow semantics.
+
+Smith normal form runs in two phases (Dumas, Saunders and Villard, "On
+efficient sparse integer matrix Smith normal form computations", J.
+Symbolic Comput. 2001).  Boundary maps have entries ±(form coefficients),
+so most pivots are units: these are eliminated on the sparse rows, each
+giving an invariant factor 1, and only the small block left over, which has
+no unit entry, is densified for the smallest-pivot elimination.
 """
 
 from dataclasses import dataclass
@@ -64,14 +71,8 @@ def _round_div(a, b):
     return q
 
 
-def smith_normal_form(rows):
-    """Invariant factors of an integer matrix of sparse rows, in divisibility order.
-
-    Zero rows and zero columns carry no invariant factors, so only the
-    nonempty rows are densified, over the columns they use.  ``rows`` is
-    left unchanged.
-    """
-    rows = [r for r in rows if r]
+def _dense_snf(rows):
+    """Smallest-pivot Smith normal form of nonempty sparse rows, densified over used columns."""
     used = sorted({j for r in rows for j in r})
     D = [[r.get(j, 0) for j in used] for r in rows]
     m, n = len(D), len(used)
@@ -124,6 +125,58 @@ def smith_normal_form(rows):
     diag = [D[i][i] for i in range(min(m, n)) if D[i][i] != 0]
     factors = _divisibility_chain(diag)
     return SNFResult(rank=len(factors), invariant_factors=tuple(factors))
+
+
+def smith_normal_form(rows):
+    """Invariant factors of an integer matrix of sparse rows, in divisibility order.
+
+    Two phases.  The sparse phase eliminates unit pivots: while some entry
+    is ±1, it takes the shortest row holding one and, in that row, the ±1
+    column with the fewest entries, clears that column from every other row
+    by row operations and drops the pivot row and column as one invariant
+    factor 1.  Dropping them is exact: once the pivot column is zero outside
+    the pivot row, the column operations that clear the pivot row touch no
+    other row, so the matrix is ±1 ⊕ (the rest) up to unimodular operations.
+    The dense phase densifies the rest over the columns it uses (zero rows
+    and columns carry no invariant factors) and eliminates by smallest
+    pivots.  ``rows`` is left unchanged.
+    """
+    rows = {i: dict(r) for i, r in enumerate(rows) if r}
+    col_rows = {}
+    for i, r in rows.items():
+        for j in r:
+            col_rows.setdefault(j, set()).add(i)
+    units = 0
+    while True:
+        pi = min((i for i, r in rows.items() if 1 in r.values() or -1 in r.values()),
+                 key=lambda i: len(rows[i]), default=None)
+        if pi is None:
+            break
+        prow = rows.pop(pi)
+        pc = min((j for j, v in prow.items() if v in (1, -1)), key=lambda j: len(col_rows[j]))
+        pv = prow[pc]
+        for j in prow:
+            col_rows[j].discard(pi)
+        for i in col_rows.pop(pc):
+            row = rows[i]
+            c = row.pop(pc) * pv  # rv / pv, as pv = ±1
+            for j, v in prow.items():
+                if j == pc:
+                    continue
+                w = row.get(j, 0) - c * v
+                if w:
+                    if j not in row:
+                        col_rows[j].add(i)
+                    row[j] = w
+                else:
+                    del row[j]
+                    col_rows[j].discard(i)
+            if not row:
+                del rows[i]
+        units += 1
+    rest = _dense_snf(list(rows.values()))
+    return SNFResult(rank=units + rest.rank,
+                     invariant_factors=(1,) * units + rest.invariant_factors)
 
 
 def _strip_content(row):

@@ -50,8 +50,8 @@ def surface_circle_expected(g):
     cokernel one degree up and a kernel at degree k; in the cup complex the
     same pieces sit one degree lower, so the parity classes swap: the even
     part of the homology is the sum of the odd-indexed closed-form groups.
-    Verified against the direct computation for g <= 3 (the Z/2 summand at
-    genus 3 lands in even exterior degree).
+    Verified against the direct computation for g <= 6 (the first Z/2
+    summand, at genus 3, lands in even exterior degree).
     """
     if g < 1:
         raise ValueError("genus must be >= 1")

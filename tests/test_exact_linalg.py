@@ -1,3 +1,6 @@
+from itertools import combinations
+from math import gcd
+
 import pytest
 
 from conftest import seeded
@@ -124,3 +127,96 @@ def test_snf_invariant_under_unimodular_ops():
         assert (smith_normal_form(M(data)).invariant_factors
                 == smith_normal_form(M(m)).invariant_factors)
 
+
+def _det(square):
+    """Determinant by fraction-free (Bareiss) elimination with row swaps."""
+    a = [row[:] for row in square]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def _determinantal_factors(dense):
+    """Invariant factors d_k = D_k / D_(k-1), where D_k is the gcd of all k x k minors."""
+    m, n = len(dense), len(dense[0]) if dense else 0
+    factors, prev = [], 1
+    for k in range(1, min(m, n) + 1):
+        g = 0
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                g = gcd(g, _det([[dense[r][c] for c in cs] for r in rs]))
+                if g == 1:
+                    break
+            if g == 1:
+                break
+        if g == 0:
+            break
+        factors.append(g // prev)
+        prev = g
+    return tuple(factors)
+
+
+def test_snf_matches_determinantal_divisors(monkeypatch):
+    # An oracle that shares nothing with exact_linalg, on three kinds of
+    # small matrices: rich in units (the sparse phase mostly leaves nothing),
+    # free of units (only the dense phase runs) and with planted torsion.
+    import cuphom.exact_linalg as el
+
+    residual_rows = []
+    real_dense = el._dense_snf
+
+    def seen_dense(rows):
+        residual_rows.append(len(rows))
+        return real_dense(rows)
+
+    monkeypatch.setattr(el, "_dense_snf", seen_dense)
+    rng = seeded(4242)
+
+    def shape():
+        return rng.randint(1, 7), rng.randint(1, 7)
+
+    def unit_rich():
+        m, n = shape()
+        return [[rng.choice((-1, 1, -1, 1, 0, 0, 0, 3)) for _ in range(n)] for _ in range(m)]
+
+    def unit_free():
+        m, n = shape()
+        return [[rng.choice((0, 0, 2, -2, 3, -4, 6, 9)) for _ in range(n)] for _ in range(m)]
+
+    def planted():
+        (m, n), r = shape(), rng.randint(1, 4)
+        a = M(_random_dense(rng, m, r, 2))
+        d = [{i: rng.choice((1, 2, 3, 4, 6, 12))} for i in range(r)]
+        b = M(_random_dense(rng, r, n, 2))
+        product = sparse_product(sparse_product(a, d), b)
+        return [[row.get(j, 0) for j in range(n)] for row in product]
+
+    for kind in (unit_rich, unit_free, planted):
+        residual_rows.clear()
+        nonempty, torsion = [], 0
+        for _ in range(40):
+            dense = kind()
+            rows = M(dense)
+            before = [dict(r) for r in rows]
+            snf = smith_normal_form(rows)
+            assert rows == before
+            assert len(snf.invariant_factors) == snf.rank
+            assert snf.invariant_factors == _determinantal_factors(dense), dense
+            nonempty.append(sum(1 for r in rows if r))
+            torsion += any(d > 1 for d in snf.invariant_factors)
+        if kind is unit_free:
+            assert residual_rows == nonempty
+        elif kind is unit_rich:
+            assert residual_rows.count(0) > 20, residual_rows
+        else:
+            assert torsion > 20

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -92,6 +93,27 @@ def test_cup_homology_trivial():
     r = cup_homology(trivial(4))
     assert r.even == AbelianGroup(8, ()) and r.odd == AbelianGroup(8, ())
     assert r.h == 8
+
+
+def test_zero_maps_skip_entry_tables(monkeypatch):
+    # A form with no term, or none that survives mod p, has zero boundary
+    # maps; at rank 16 compiling their entry tables would take seconds.
+    import cuphom.cup_complex as cc
+
+    def no_table(b, k):
+        raise AssertionError(f"entry table ({b}, {k}) built for a zero map")
+
+    monkeypatch.setattr(cc, "_entry_table", no_table)
+    f = trivial(16)
+    assert h_rank(f) == 2 ** 15
+    assert h_mod_p(f, 2) == 2 ** 15
+    r = cup_homology(f)
+    assert [g.free_rank for g in r.by_degree] == [comb(16, k) for k in range(17)]
+    assert r.even == AbelianGroup(2 ** 15) and r.odd == AbelianGroup(2 ** 15)
+    even = ThreeForm(16, ((1, 2, 3, 2), (4, 5, 16, -6)))
+    assert h_mod_p(even, 2) == 2 ** 15
+    with pytest.raises(AssertionError, match="entry table"):
+        h_mod_p(even, 3)
 
 
 def test_cup_homology_rank0():

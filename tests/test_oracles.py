@@ -55,8 +55,8 @@ def test_surface_circle_expected_ranks():
 
 def test_surface_circle_expected_matches_direct_computation():
     # The load-bearing reconciliation: closed form vs the actual complex,
-    # torsion included, for g <= 3.
-    for g in (1, 2, 3):
+    # torsion included, for g <= 6 (rank 13).
+    for g in range(1, 7):
         r = cup_homology(surface_circle(g))
         even, odd = surface_circle_expected(g)
         assert r.even == even, g
