@@ -20,6 +20,7 @@ from .homology import (
     h_mod_p,
     h_rank,
     k_p,
+    mod_p_degree_dims,
     uct_check,
 )
 from .combinatorics import bounds_report, euler_sum, lower_bound_L, verify_identities
@@ -46,6 +47,7 @@ __all__ = [
     "k_p",
     "lower_bound_L",
     "mapping_torus",
+    "mod_p_degree_dims",
     "parse_form",
     "reduce_mod_p",
     "serialize_form",

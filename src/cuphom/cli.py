@@ -11,7 +11,7 @@ from . import combinatorics, geography
 from .cup_complex import dump_boundary_matrices, verify_d_squared
 from .forms import (FormError, builtin_family, connected_sum, parse_form,
                     serialize_form)
-from .homology import (AbelianGroup, cup_homology, h_mod_p, h_rank,
+from .homology import (AbelianGroup, common_dim, cup_homology, h_rank,
                        mod_p_degree_dims, uct_check)
 from .report import CheckReport
 
@@ -41,7 +41,7 @@ def _cmd_compute(args):
         per_degree = [AbelianGroup(0, (args.prime,) * d) for d in dims]
         even = AbelianGroup(0, (args.prime,) * sum(dims[0::2]))
         odd = AbelianGroup(0, (args.prime,) * sum(dims[1::2]))
-        h_text = str(h_mod_p(f, args.prime)) if f.rank else "1/2"
+        h_text = str(common_dim(dims))
         h_label = f"h_{args.prime}"
     else:
         result = cup_homology(f)
@@ -111,16 +111,15 @@ def _cmd_verify(args):
     except ValueError:
         raise FormError(f"--primes must be a comma-separated integer list, got {args.primes!r}")
     reports = [verify_d_squared(f)]
+    result = cup_homology(f)
     if f.rank >= 1:
-        result = cup_homology(f)
-        euler = result.h_ev == result.h_odd
-        reports.append(_single_check("h_ev = h_odd", euler,
-                                     f"{result.h_ev} vs {result.h_odd}"))
-        reports.append(combinatorics.bounds_report(f))
+        euler = CheckReport("h_ev = h_odd")
+        euler.add("h_ev = h_odd", result.h_ev == result.h_odd, f"{result.h_ev} vs {result.h_odd}")
+        reports += [euler, combinatorics.bounds_report(f, result.h)]
     else:
         print("rank 0: h = 1/2 by convention; bound checks skipped")
     for p in primes:
-        reports.append(uct_check(f, p))
+        reports.append(uct_check(result, mod_p_degree_dims(f, p), p))
     ok = True
     for rep in reports:
         for line in rep.lines():
@@ -128,12 +127,6 @@ def _cmd_verify(args):
         ok = ok and rep.ok
     print("verify: PASS" if ok else "verify: FAIL")
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
-
-
-def _single_check(name, ok, detail=""):
-    rep = CheckReport(name)
-    rep.add(name, ok, detail)
-    return rep
 
 
 def _cmd_geography(args):

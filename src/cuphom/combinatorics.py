@@ -90,20 +90,17 @@ def verify_identities(b_max):
     return rep
 
 
-def bounds_report(f, factor_ranks=None):
-    """Evaluate h for a form and test it against the proven bounds.
+def bounds_report(f, h, factor_ranks=None):
+    """Test the invariant h of a form against the proven bounds.
 
     ``factor_ranks`` records that f was assembled as a connected sum of
     pieces with those first Betti numbers; when at least two pieces of
     positive rank are not all odd, the reducible lower bound (4/3) L(b)
     applies as well.
     """
-    from .homology import h_rank
-
     b = f.rank
     if b < 1:
         raise ValueError("bounds are stated for rank >= 1")
-    h = int(h_rank(f))
     rep = CheckReport(f"bounds for rank {b}")
     L = lower_bound_L(b)
     upper = 2 ** (b - 1)

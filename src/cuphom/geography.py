@@ -164,6 +164,22 @@ def _checkpoint_path(out_path):
     return f"{out_path}.checkpoint.json"
 
 
+_CHECKPOINT_FIELDS = {"b": int, "coeff_max": int, "shards": int, "completed": list,
+                      "enumerated_count": int, "partial": dict}
+
+
+def _load_checkpoint(cp_path):
+    """Read a sidecar; refuse anything but an object with every field of its JSON type."""
+    with open(cp_path, encoding="utf-8") as fh:
+        state = json.load(fh)
+    if not isinstance(state, dict):
+        raise ValueError(f"checkpoint {cp_path} is not a JSON object")
+    for key, kind in _CHECKPOINT_FIELDS.items():
+        if type(state.get(key)) is not kind:
+            raise ValueError(f"checkpoint {cp_path}: {key!r} is missing or not a {kind.__name__}")
+    return state
+
+
 def run_shard_to_checkpoint(b, coeff_max, shards, shard_index, out_path):
     """Run one shard, fold it into the sidecar, and finalize when complete.
 
@@ -177,8 +193,7 @@ def run_shard_to_checkpoint(b, coeff_max, shards, shard_index, out_path):
     state = {"b": b, "coeff_max": coeff_max, "shards": shards,
              "completed": [], "enumerated_count": 0, "partial": {}}
     if os.path.exists(cp_path):
-        with open(cp_path, encoding="utf-8") as fh:
-            state = json.load(fh)
+        state = _load_checkpoint(cp_path)
         if (state["b"], state["coeff_max"], state["shards"]) != (b, coeff_max, shards):
             raise ValueError("checkpoint was written with different scan parameters")
     if shard_index in state["completed"]:

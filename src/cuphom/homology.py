@@ -90,52 +90,52 @@ def cup_homology(f):
               for k in range(b + 1)]
     even = direct_sum(groups[0::2])
     odd = direct_sum(groups[1::2])
-    h = Fraction(1, 2) if b == 0 else Fraction(even.free_rank)
     return CupHomologyResult(rank=b, by_degree=tuple(groups), even=even, odd=odd,
-                             h_ev=even.free_rank, h_odd=odd.free_rank, h=h)
+                             h_ev=even.free_rank, h_odd=odd.free_rank,
+                             h=common_dim([g.free_rank for g in groups]))
 
 
-def _degree_ranks(f, characteristic):
-    """rank of every boundary map over the given field, indexed by source degree."""
-    return {k: rank_over_field(boundary_rows(f, k, characteristic), characteristic)
-            for k in range(3, f.rank + 1)}
+def common_dim(dims):
+    """h from per-degree dimensions: the even and odd parts must agree (else a
+    bug); rank 0, a single degree, gives 1/2 by convention."""
+    if len(dims) == 1:
+        return Fraction(1, 2)
+    even = sum(dims[0::2])
+    odd = sum(dims[1::2])
+    if even != odd:
+        raise RuntimeError(f"even and odd dimensions differ ({even} != {odd}): bug")
+    return Fraction(even)
+
+
+def _degree_dims(f, characteristic):
+    """Homology dimension over Q (characteristic 0) or F_p in each degree k = 0..b:
+    C(b, k) - rank(d_k) - rank(d_{k+3}), with one rank per boundary map."""
+    b = f.rank
+    dims = [comb(b, k) for k in range(b + 1)]
+    for k in range(3, b + 1):
+        r = rank_over_field(boundary_rows(f, k, characteristic), characteristic)
+        dims[k] -= r  # only ker d_k survives at degree k
+        dims[k - 3] -= r  # im d_k is divided out at degree k - 3
+    return dims
 
 
 def h_rank(f):
-    """The invariant h as an exact rational, skipping torsion bookkeeping.
-
-    Rank-only path: h equals the sum over even degrees k of
-    C(b, k) - rank(d_k) - rank(d_{k+3}).
-    """
-    b = f.rank
-    if b == 0:
-        return Fraction(1, 2)
-    ranks = _degree_ranks(f, 0)
-    h = 0
-    for k in range(0, b + 1, 2):
-        h += comb(b, k) - ranks.get(k, 0) - ranks.get(k + 3, 0)
-    return Fraction(h)
+    """The invariant h as an exact rational, from Q-ranks alone (no torsion)."""
+    return common_dim(_degree_dims(f, 0))
 
 
 def mod_p_degree_dims(f, p):
     """F_p dimension of the mod-p homology in each exterior degree."""
     if not is_prime(p):
         raise FormError(f"{p} is not prime")
-    ranks = _degree_ranks(f, p)
-    return [comb(f.rank, k) - ranks.get(k, 0) - ranks.get(k + 3, 0)
-            for k in range(f.rank + 1)]
+    return _degree_dims(f, p)
 
 
 def h_mod_p(f, p):
     """The mod-p invariant h_p; rejects rank 0 (use the 1/2 convention of h)."""
     if f.rank == 0:
         raise FormError("h_p is defined through the rank; rank 0 uses h = 1/2")
-    dims = mod_p_degree_dims(f, p)
-    even = sum(dims[0::2])
-    odd = sum(dims[1::2])
-    if even != odd:
-        raise RuntimeError(f"mod-{p} parity ranks differ ({even} != {odd}): bug")
-    return even
+    return int(common_dim(mod_p_degree_dims(f, p)))
 
 
 @dataclass(frozen=True)
@@ -153,15 +153,8 @@ class KpValue:
 
 
 def k_p(f, p):
-    """Connected-sum-additive invariant log2(2 h_p); p = 1 means h itself."""
-    if p == 1:
-        hp = h_rank(f)
-    elif f.rank == 0:
-        # Mod-p homology of a rank-0 form is Z/p in even degrees only; the
-        # same 1/2 convention applies for every p.
-        hp = Fraction(1, 2)
-    else:
-        hp = Fraction(h_mod_p(f, p))
+    """Connected-sum-additive invariant log2(2 h_p); p = 1 means h, else p is prime."""
+    hp = h_rank(f) if p == 1 else common_dim(mod_p_degree_dims(f, p))
     doubled = int(2 * hp)
     if doubled & (doubled - 1) == 0:
         text = str(doubled.bit_length() - 1)
@@ -170,25 +163,22 @@ def k_p(f, p):
     return KpValue(p=p, h_p=hp, doubled=doubled, log2_text=text)
 
 
-def uct_check(f, p):
+def uct_check(integral, dims, p):
     """Universal-coefficients consistency between integral and mod-p results.
 
-    In each degree k the F_p dimension must equal the free rank plus the
-    p-torsion counts of degree k and of degree k - 3 (its predecessor inside
-    the same mod-3 complex).
+    ``integral`` is the :func:`cup_homology` (Smith normal forms) and ``dims``
+    the :func:`mod_p_degree_dims` (F_p ranks) of one form.  In each degree k
+    the F_p dimension must equal the free rank plus the p-torsion counts of
+    degree k and of degree k - 3 (its predecessor inside the same mod-3 complex).
     """
-    if not is_prime(p):
-        raise FormError(f"{p} is not prime")
-    rep = CheckReport(f"universal coefficients mod {p} on rank {f.rank}")
-    integral = cup_homology(f)
-    dims = mod_p_degree_dims(f, p)
+    rep = CheckReport(f"universal coefficients mod {p} on rank {integral.rank}")
 
     def t_p(k):
         if k < 0:
             return 0
         return sum(1 for d in integral.by_degree[k].torsion if d % p == 0)
 
-    for k in range(f.rank + 1):
+    for k in range(integral.rank + 1):
         expect = integral.by_degree[k].free_rank + t_p(k) + t_p(k - 3)
         rep.add(f"degree {k}", dims[k] == expect,
                 "" if dims[k] == expect else f"dim_Fp {dims[k]} != {expect}")

@@ -18,7 +18,8 @@ from cuphom.forms import (ThreeForm, connected_sum, mapping_torus, negate,
                           permute_indices, surface_circle, torus3, trivial)
 from cuphom.geography import (check_reducible_constraints, geography_scan,
                               write_result)
-from cuphom.homology import cup_homology, h_mod_p, h_rank, uct_check
+from cuphom.homology import (cup_homology, h_mod_p, h_rank, mod_p_degree_dims,
+                             uct_check)
 from cuphom.oracles import field_homology_oracle, surface_circle_expected
 
 _suite_seconds = {}
@@ -144,8 +145,9 @@ def test_c2e_uct_and_field_oracle():
         rng = seeded(1005)
         for _ in range(500):
             f = random_form(rng, rng.randint(1, 7))
+            integral = cup_homology(f)
             for p in (2, 3, 5):
-                rep = uct_check(f, p)
+                rep = uct_check(integral, mod_p_degree_dims(f, p), p)
                 assert rep.ok, rep.failures()
             snfs = {k: smith_normal_form(boundary_rows(f, k))
                     for k in range(3, f.rank + 1)}

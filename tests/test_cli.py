@@ -1,10 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from cuphom.cli import main
+from cuphom.cup_complex import boundary_rows
 from cuphom.forms import parse_form, serialize_form, surface_circle, torus3, trivial
 from cuphom.geography import load_result
+
+GOLDEN = Path(__file__).parent / "golden"
+GOLDEN_FORMS = {"torus3(6)": torus3(6), "surface_circle(3)": surface_circle(3),
+                "surface_circle(5)": surface_circle(5), "trivial(0)": trivial(0)}
 
 
 def write_form(path, form):
@@ -190,3 +196,76 @@ def test_geography_sharded_cli(tmp_path, capsys):
     direct = tmp_path / "direct.json"
     assert main(["geography", "--b", "4", "--coeff-max", "1", "--out", str(direct)]) == 0
     assert out.read_bytes() == direct.read_bytes()
+
+
+def test_cli_output_matches_golden(tmp_path, capsys):
+    # Exit code and stdout, byte for byte, of compute (text, --json,
+    # --prime), verify (default primes, --primes 2,7) and h on four forms.
+    cases = json.loads((GOLDEN / "cli_outputs.json").read_text())
+    assert len(cases) == 28
+    paths = {name: write_form(tmp_path / f"form{i}.json", form)
+             for i, (name, form) in enumerate(GOLDEN_FORMS.items())}
+    for case in cases:
+        argv = [case["args"][0], paths[case["form"]], *case["args"][1:]]
+        assert main(argv) == case["exit"], argv
+        assert capsys.readouterr().out == case["stdout"], argv
+
+
+def test_each_map_eliminated_once_per_ring(tmp_path, capsys, monkeypatch):
+    import cuphom.homology as hom
+
+    f = surface_circle(3)
+    path = write_form(tmp_path / "sc3.json", f)
+    snf_seen, rank_seen = [], []
+    real_snf, real_rank = hom.smith_normal_form, hom.rank_over_field
+
+    def counted_snf(rows):
+        snf_seen.append(rows)
+        return real_snf(rows)
+
+    def counted_rank(rows, characteristic):
+        rank_seen.append((characteristic, [dict(r) for r in rows]))
+        return real_rank(rows, characteristic)
+
+    monkeypatch.setattr(hom, "smith_normal_form", counted_snf)
+    monkeypatch.setattr(hom, "rank_over_field", counted_rank)
+
+    def expect_ranks(primes):
+        return sorted(((p, boundary_rows(f, k, p)) for p in primes for k in range(3, 8)),
+                      key=repr)
+
+    assert main(["verify", path, "--primes", "2,3"]) == 0
+    assert "verify: PASS" in capsys.readouterr().out
+    assert sorted(snf_seen, key=repr) == sorted((boundary_rows(f, k) for k in range(3, 8)),
+                                                key=repr)
+    assert sorted(rank_seen, key=repr) == expect_ranks((2, 3))
+
+    snf_seen.clear()
+    rank_seen.clear()
+    assert main(["compute", path, "--prime", "2"]) == 0
+    assert capsys.readouterr().out.endswith("h_2 = 36\n")
+    assert snf_seen == []
+    assert sorted(rank_seen, key=repr) == expect_ranks((2,))
+
+
+@pytest.mark.parametrize("sidecar", ['{"b": 3, "coeff_max": 1, "shards": 2}', "[1, 2]",
+                                     '{"b": 3, "coeff_max": 1, "shards": 2, "completed": {}, '
+                                     '"enumerated_count": 0, "partial": {}}'])
+def test_malformed_checkpoint_exit2(tmp_path, capsys, sidecar):
+    out = tmp_path / "b3.json"
+    cp = tmp_path / "b3.json.checkpoint.json"
+    cp.write_text(sidecar)
+    code = main(["geography", "--b", "3", "--coeff-max", "1", "--out", str(out),
+                 "--shards", "2", "--shard", "0"])
+    assert code == 2
+    assert str(cp) in capsys.readouterr().err
+    assert cp.read_text() == sidecar and not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["compute", "--prime", "{p}"], ["verify", "--primes", "2,{p}"]])
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_non_prime_exit2(tmp_path, capsys, argv, p):
+    for form in (trivial(0), torus3(4)):
+        path = write_form(tmp_path / "f.json", form)
+        assert main([argv[0], path, argv[1], argv[2].format(p=p)]) == 2
+        assert "not prime" in capsys.readouterr().err

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from cuphom.combinatorics import (bounds_report, euler_sum, lower_bound_L,
@@ -41,14 +43,14 @@ def test_verify_identities_validation():
 
 
 def test_bounds_report_surface():
-    rep = bounds_report(surface_circle(2))
+    rep = bounds_report(surface_circle(2), 10)
     assert rep.ok
     names = [item.name for item in rep.items]
     assert any("L(5)" in n for n in names)
 
 
 def test_bounds_report_trivial_skips_nonzero_branch():
-    rep = bounds_report(trivial(7))
+    rep = bounds_report(trivial(7), 64)
     assert rep.ok
     skip = [item for item in rep.items if "nonzero form" in item.name]
     assert skip and "skipped" in skip[0].detail
@@ -57,7 +59,7 @@ def test_bounds_report_trivial_skips_nonzero_branch():
 def test_bounds_report_connected_sum_equality_case():
     # T^3 # (S^1 x S^2) # (S^1 x S^2): h = 12 = (4/3) L(5) exactly.
     f = connected_sum(connected_sum(torus3(1), trivial(1)), trivial(1))
-    rep = bounds_report(f, factor_ranks=(3, 1, 1))
+    rep = bounds_report(f, 12, factor_ranks=(3, 1, 1))
     assert rep.ok
     irred = [item for item in rep.items if "4/3" in item.name]
     assert irred and "skipped" not in irred[0].detail
@@ -65,11 +67,11 @@ def test_bounds_report_connected_sum_equality_case():
 
 def test_bounds_report_two_odd_factors_not_applicable():
     f = connected_sum(torus3(1), torus3(1))
-    rep = bounds_report(f, factor_ranks=(3, 3))
+    rep = bounds_report(f, 18, factor_ranks=(3, 3))
     irred = [item for item in rep.items if "4/3" in item.name]
     assert irred and "skipped" in irred[0].detail
 
 
 def test_bounds_report_rejects_rank0():
     with pytest.raises(ValueError):
-        bounds_report(trivial(0))
+        bounds_report(trivial(0), Fraction(1, 2))

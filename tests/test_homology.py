@@ -192,6 +192,16 @@ def test_k_p_values():
     assert v.log2_text.startswith("2.5849625007")
 
 
+def test_k_p_validates_p_at_every_rank():
+    for f in (trivial(0), torus3(2), surface_circle(2)):
+        for p in (0, 4, 6):
+            with pytest.raises(FormError):
+                k_p(f, p)
+            with pytest.raises(FormError):
+                h_mod_p(f, p)
+    assert k_p(trivial(0), 1).h_p == k_p(trivial(0), 2).h_p == Fraction(1, 2)
+
+
 def test_k_p_additive_on_exact_pairs():
     rng = seeded(505)
     for _ in range(30):
@@ -234,13 +244,21 @@ def test_k_p_stays_between_bounds():
             assert 2 * lower_bound_L(b) <= v.doubled <= 2 ** b
 
 
+def _uct(f, p):
+    return uct_check(cup_homology(f), mod_p_degree_dims(f, p), p)
+
+
 def test_uct_examples():
-    assert uct_check(torus3(4), 2).ok
-    assert uct_check(trivial(6), 3).ok
-    rep = uct_check(surface_circle(3), 2)
+    assert _uct(torus3(4), 2).ok
+    assert _uct(trivial(6), 3).ok
+    rep = _uct(surface_circle(3), 2)
     assert rep.ok
     # the genus-3 Z/2 makes the t_2 terms genuinely nonzero
     assert any(d for d in cup_homology(surface_circle(3)).by_degree[2].torsion)
+    # without them (the rational dims), degrees 2 and 5 disagree
+    sc3 = surface_circle(3)
+    rep = uct_check(cup_homology(sc3), field_homology_oracle(sc3, 0), 2)
+    assert [item.name for item in rep.items if not item.ok] == ["degree 2", "degree 5"]
 
 
 def test_h_invariance_under_relabel_and_negation():
