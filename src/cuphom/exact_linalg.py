@@ -5,15 +5,20 @@ with zero entries left out; row i of the list is row i of the matrix.  All
 arithmetic uses Python's arbitrary-precision integers; intermediate values
 of an elimination are allowed to grow without any overflow semantics.
 
-Smith normal form runs in two phases (Dumas, Saunders and Villard, "On
-efficient sparse integer matrix Smith normal form computations", J.
-Symbolic Comput. 2001).  Boundary maps have entries ±(form coefficients),
-so most pivots are units: these are eliminated on the sparse rows, each
-giving an invariant factor 1, and only the small block left over, which has
-no unit entry, is densified for the smallest-pivot elimination.
+Smith normal form and the rank over Q share one unit phase (the sparse
+phase of Dumas, Saunders and Villard, "On efficient sparse integer matrix
+Smith normal form computations", J. Symbolic Comput. 2001).  Boundary maps
+have entries ±(form coefficients), so most pivots are units: these are
+eliminated on the sparse rows by :func:`_eliminate_units`, each giving an
+invariant factor 1 and one unit of rank.  Two finishers take the block left
+over, which has no unit entry: Smith normal form densifies it for the
+smallest-pivot elimination, and the Q-rank eliminates it fraction-free on
+the sparse rows.  Ranks over F_p do not use the unit phase, so the checks
+that compare them with Smith normal form stay independent of it.
 """
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
 
 
@@ -127,38 +132,61 @@ def _dense_snf(rows):
     return SNFResult(rank=len(factors), invariant_factors=tuple(factors))
 
 
-def smith_normal_form(rows):
-    """Invariant factors of an integer matrix of sparse rows, in divisibility order.
+def _has_unit(row):
+    values = row.values()
+    return 1 in values or -1 in values
 
-    Two phases.  The sparse phase eliminates unit pivots: while some entry
-    is ±1, it takes the shortest row holding one and, in that row, the ±1
-    column with the fewest entries, clears that column from every other row
-    by row operations and drops the pivot row and column as one invariant
-    factor 1.  Dropping them is exact: once the pivot column is zero outside
-    the pivot row, the column operations that clear the pivot row touch no
-    other row, so the matrix is ±1 ⊕ (the rest) up to unimodular operations.
-    The dense phase densifies the rest over the columns it uses (zero rows
-    and columns carry no invariant factors) and eliminates by smallest
-    pivots.  ``rows`` is left unchanged.
+
+def _eliminate_units(rows):
+    """Eliminate unit pivots on sparse rows; returns (units eliminated, residual rows).
+
+    While some entry is ±1, take the shortest row holding one (the lowest row
+    index on ties) and, in that row, the ±1 column with the fewest entries;
+    clear that column from every other row by the row operations
+    ``row -= (rv·pv)·prow`` and drop the pivot row and column.  The pivot
+    column is then zero outside the pivot row, so the column operations that
+    would clear the pivot row touch no other row: the matrix is ±1 ⊕ (the
+    rest) up to unimodular operations, and the dropped pair is one invariant
+    factor 1 and one unit of rank.  The residual is the nonempty rows left,
+    in their original order, with no ±1 entry.
+
+    The candidate pivot rows sit in a heap of (length, row index); an entry
+    whose row has since been eliminated, changed length or lost its units is
+    skipped when popped, and every changed row that holds a unit is pushed
+    again.  ``rows`` is consumed.
     """
-    rows = {i: dict(r) for i, r in enumerate(rows) if r}
+    live = {}
+    heap = []
+    for i, r in enumerate(rows):
+        if r:
+            live[i] = r
+            if _has_unit(r):
+                heap.append((len(r), i))
+    if not heap:
+        return 0, list(live.values())
+    if len(live) == 1:  # one row holding a unit: nothing else to clear
+        return 1, []
+    heapify(heap)
     col_rows = {}
-    for i, r in rows.items():
+    for i, r in live.items():
         for j in r:
-            col_rows.setdefault(j, set()).add(i)
+            if j in col_rows:
+                col_rows[j].add(i)
+            else:
+                col_rows[j] = {i}
     units = 0
-    while True:
-        pi = min((i for i, r in rows.items() if 1 in r.values() or -1 in r.values()),
-                 key=lambda i: len(rows[i]), default=None)
-        if pi is None:
-            break
-        prow = rows.pop(pi)
+    while heap:
+        n, pi = heappop(heap)
+        prow = live.get(pi)
+        if prow is None or len(prow) != n or not _has_unit(prow):
+            continue
+        del live[pi]
         pc = min((j for j, v in prow.items() if v in (1, -1)), key=lambda j: len(col_rows[j]))
         pv = prow[pc]
         for j in prow:
             col_rows[j].discard(pi)
         for i in col_rows.pop(pc):
-            row = rows[i]
+            row = live[i]
             c = row.pop(pc) * pv  # rv / pv, as pv = ±1
             for j, v in prow.items():
                 if j == pc:
@@ -172,9 +200,23 @@ def smith_normal_form(rows):
                     del row[j]
                     col_rows[j].discard(i)
             if not row:
-                del rows[i]
+                del live[i]
+            elif _has_unit(row):
+                heappush(heap, (len(row), i))
         units += 1
-    rest = _dense_snf(list(rows.values()))
+    return units, list(live.values())
+
+
+def smith_normal_form(rows):
+    """Invariant factors of an integer matrix of sparse rows, in divisibility order.
+
+    Two phases.  The sparse phase (:func:`_eliminate_units`) eliminates unit
+    pivots, each an invariant factor 1.  The dense phase densifies the rest
+    over the columns it uses (zero rows and columns carry no invariant
+    factors) and eliminates by smallest pivots.  ``rows`` is left unchanged.
+    """
+    units, rest = _eliminate_units([dict(r) for r in rows if r])
+    rest = _dense_snf(rest)
     return SNFResult(rank=units + rest.rank,
                      invariant_factors=(1,) * units + rest.invariant_factors)
 
@@ -204,14 +246,16 @@ def sparse_product(A, B):
 
 
 def _rank_rational(rows):
-    """Rank over Q by integer-preserving sparse elimination; consumes ``rows``.
+    """Rank over Q; consumes ``rows``.
 
-    Rows are {column: value} dicts with their content divided out; the row
-    update (pv/g)*row - (rv/g)*pivot is an invertible operation over Q, so the
-    rank is exact.
+    rank_Q = (unit pivots) + rank_Q(residual): the unit phase of
+    :func:`_eliminate_units` goes first, and the residual is eliminated
+    fraction-free.  Its rows are {column: value} dicts with their content
+    divided out; the row update (pv/g)*row - (rv/g)*pivot is an invertible
+    operation over Q, so the rank is exact.
     """
-    rows = [_strip_content(r) for r in rows if r]
-    rank = 0
+    rank, rows = _eliminate_units(rows)
+    rows = [_strip_content(r) for r in rows]
     while len(rows) > 1:
         # Pivot row: fewest entries, then smallest magnitude, first on ties.
         keys = [(len(r), min(map(abs, r.values()))) for r in rows]

@@ -73,6 +73,18 @@ class ThreeForm:
         return not self.terms
 
 
+def _trusted_form(rank, terms):
+    """A form from terms already valid and lex-sorted, built without re-checking them.
+
+    For generators such as the geography scans, whose terms are valid and
+    sorted by construction; the result equals ``ThreeForm(rank, terms)``.
+    """
+    form = object.__new__(ThreeForm)
+    object.__setattr__(form, "rank", rank)
+    object.__setattr__(form, "terms", terms)
+    return form
+
+
 def parse_form(text):
     """Parse a canonical form document (see :func:`serialize_form`)."""
     try:

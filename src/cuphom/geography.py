@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 
 from .exterior import blade_basis
-from .forms import ThreeForm, serialize_form
+from .forms import FormError, ThreeForm, _trusted_form, serialize_form
 from .homology import h_rank
 from .report import CheckReport
 
@@ -103,7 +103,7 @@ def scan_shard(b, coeff_max, shards, shard_index):
         for tail in product(values, repeat=len(triples) - prefix_len):
             coeffs = prefix + tail
             terms = tuple((i, j, k, a) for (i, j, k), a in zip(triples, coeffs) if a)
-            form = ThreeForm(b, terms)
+            form = _trusted_form(b, terms)
             count += 1
             _merge_witness(realized, int(h_rank(form)), witness_key(form), form)
     return count, realized
@@ -146,17 +146,6 @@ def write_result(result, path):
     os.replace(tmp, path)
 
 
-def load_result(path):
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    realized = {}
-    for entry in doc["realized"]:
-        w = entry["witness"]
-        realized[int(entry["h"])] = ThreeForm(w["rank"], tuple(tuple(t) for t in w["terms"]))
-    return GeographyResult(b=doc["b"], coeff_max=doc["coeff_max"],
-                           enumerated_count=doc["enumerated_count"], realized=realized)
-
-
 # ---------------------------------------------------------------------------
 # Resumable sharded runs (checkpoint sidecar next to the output file)
 
@@ -169,7 +158,14 @@ _CHECKPOINT_FIELDS = {"b": int, "coeff_max": int, "shards": int, "completed": li
 
 
 def _load_checkpoint(cp_path):
-    """Read a sidecar; refuse anything but an object with every field of its JSON type."""
+    """Read a sidecar; returns (state, h -> (witness key, form)).
+
+    Refuses, naming the file, anything but the shape
+    :func:`run_shard_to_checkpoint` writes: an object with every field of its
+    JSON type, ``completed`` a list of distinct shard indices in
+    ``range(shards)`` and ``partial`` a map from decimal h to the valid terms
+    of a rank-b witness.
+    """
     with open(cp_path, encoding="utf-8") as fh:
         state = json.load(fh)
     if not isinstance(state, dict):
@@ -177,7 +173,26 @@ def _load_checkpoint(cp_path):
     for key, kind in _CHECKPOINT_FIELDS.items():
         if type(state.get(key)) is not kind:
             raise ValueError(f"checkpoint {cp_path}: {key!r} is missing or not a {kind.__name__}")
-    return state
+    completed = state["completed"]
+    if (not all(type(s) is int and 0 <= s < state["shards"] for s in completed)
+            or len(set(completed)) != len(completed)):
+        raise ValueError(f"checkpoint {cp_path}: 'completed' must hold distinct shard "
+                         f"indices in 0..{state['shards'] - 1}")
+    realized = {}
+    for h, terms in state["partial"].items():
+        if not (h.isascii() and h.isdecimal()):
+            raise ValueError(f"checkpoint {cp_path}: 'partial' key {h!r} is not a decimal h")
+        if (type(terms) is not list
+                or not all(type(t) is list and len(t) == 4 and all(type(x) is int for x in t)
+                           for t in terms)):
+            raise ValueError(f"checkpoint {cp_path}: 'partial' entry for h = {h} is not "
+                             "a list of [i, j, k, a] integer quadruples")
+        try:
+            form = ThreeForm(state["b"], tuple(map(tuple, terms)))
+        except FormError as e:
+            raise ValueError(f"checkpoint {cp_path}: witness for h = {h}: {e}") from None
+        realized[int(h)] = (witness_key(form), form)
+    return state, realized
 
 
 def run_shard_to_checkpoint(b, coeff_max, shards, shard_index, out_path):
@@ -192,17 +207,14 @@ def run_shard_to_checkpoint(b, coeff_max, shards, shard_index, out_path):
     cp_path = _checkpoint_path(out_path)
     state = {"b": b, "coeff_max": coeff_max, "shards": shards,
              "completed": [], "enumerated_count": 0, "partial": {}}
+    realized = {}
     if os.path.exists(cp_path):
-        state = _load_checkpoint(cp_path)
+        state, realized = _load_checkpoint(cp_path)
         if (state["b"], state["coeff_max"], state["shards"]) != (b, coeff_max, shards):
             raise ValueError("checkpoint was written with different scan parameters")
     if shard_index in state["completed"]:
         return False
     count, part = scan_shard(b, coeff_max, shards, shard_index)
-    realized = {}
-    for h, terms in state["partial"].items():
-        form = ThreeForm(b, tuple(tuple(t) for t in terms))
-        realized[int(h)] = (witness_key(form), form)
     for h, (key, form) in part.items():
         _merge_witness(realized, h, key, form)
     witnesses = _witnesses(realized)

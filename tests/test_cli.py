@@ -5,8 +5,9 @@ import pytest
 
 from cuphom.cli import main
 from cuphom.cup_complex import boundary_rows
-from cuphom.forms import parse_form, serialize_form, surface_circle, torus3, trivial
-from cuphom.geography import load_result
+from cuphom.forms import (ThreeForm, parse_form, serialize_form, surface_circle, torus3,
+                          trivial)
+from cuphom.geography import geography_scan
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_FORMS = {"torus3(6)": torus3(6), "surface_circle(3)": surface_circle(3),
@@ -121,7 +122,6 @@ def test_verify_random_rank7(tmp_path, capsys):
     rng = random.Random(42)
     coeffs = {}
     from cuphom.exterior import blade_basis
-    from cuphom.forms import ThreeForm
 
     for t in blade_basis(7, 3):
         a = rng.randint(-9, 9)
@@ -182,8 +182,13 @@ def test_unknown_subcommand_exit2():
 def test_geography_command(tmp_path, capsys):
     out = tmp_path / "b3.json"
     assert main(["geography", "--b", "3", "--coeff-max", "2", "--out", str(out)]) == 0
-    res = load_result(out)
-    assert sorted(res.realized) == [3, 4]
+    doc = json.loads(out.read_text())
+    expected = geography_scan(3, 2)
+    assert doc["enumerated_count"] == expected.enumerated_count == 5
+    witnesses = {e["h"]: ThreeForm(e["witness"]["rank"], tuple(map(tuple, e["witness"]["terms"])))
+                 for e in doc["realized"]}
+    assert sorted(witnesses) == [3, 4]
+    assert witnesses == expected.realized
     assert "realized h: [3, 4]" in capsys.readouterr().out
 
 
@@ -250,7 +255,11 @@ def test_each_map_eliminated_once_per_ring(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("sidecar", ['{"b": 3, "coeff_max": 1, "shards": 2}', "[1, 2]",
                                      '{"b": 3, "coeff_max": 1, "shards": 2, "completed": {}, '
-                                     '"enumerated_count": 0, "partial": {}}'])
+                                     '"enumerated_count": 0, "partial": {}}',
+                                     '{"b": 3, "coeff_max": 1, "shards": 2, "completed": ["x"], '
+                                     '"enumerated_count": 0, "partial": {}}',
+                                     '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [], '
+                                     '"enumerated_count": 0, "partial": {"1": 5}}'])
 def test_malformed_checkpoint_exit2(tmp_path, capsys, sidecar):
     out = tmp_path / "b3.json"
     cp = tmp_path / "b3.json.checkpoint.json"

@@ -3,12 +3,13 @@ from math import gcd
 
 import pytest
 
-from conftest import seeded
+from conftest import random_form, seeded
 
 from cuphom.cup_complex import boundary_rows
-from cuphom.exact_linalg import (is_prime, rank_over_field, smith_normal_form,
-                                 sparse_product)
-from cuphom.forms import torus3
+from cuphom.exact_linalg import (_eliminate_units, is_prime, rank_over_field,
+                                 smith_normal_form, sparse_product)
+from cuphom.forms import surface_circle, torus3
+from cuphom.oracles import _dense_rank_char0
 
 
 def _reduced(rows, p):
@@ -220,3 +221,110 @@ def test_snf_matches_determinantal_divisors(monkeypatch):
             assert residual_rows.count(0) > 20, residual_rows
         else:
             assert torsion > 20
+
+
+def _min_scan_unit_phase(rows):
+    """Reference unit phase that picks each pivot row by a ``min`` over every
+    remaining row: the shortest row holding a ±1 (the first on ties), then its
+    ±1 column with the fewest rows.  Returns (units, residual rows)."""
+    rows = {i: dict(r) for i, r in enumerate(rows) if r}
+    col_rows = {}
+    for i, r in rows.items():
+        for j in r:
+            col_rows.setdefault(j, set()).add(i)
+    units = 0
+    while True:
+        pi = min((i for i, r in rows.items() if 1 in r.values() or -1 in r.values()),
+                 key=lambda i: len(rows[i]), default=None)
+        if pi is None:
+            break
+        prow = rows.pop(pi)
+        pc = min((j for j, v in prow.items() if v in (1, -1)), key=lambda j: len(col_rows[j]))
+        pv = prow[pc]
+        for j in prow:
+            col_rows[j].discard(pi)
+        for i in col_rows.pop(pc):
+            row = rows[i]
+            c = row.pop(pc) * pv
+            for j, v in prow.items():
+                if j == pc:
+                    continue
+                w = row.get(j, 0) - c * v
+                if w:
+                    if j not in row:
+                        col_rows[j].add(i)
+                    row[j] = w
+                else:
+                    del row[j]
+                    col_rows[j].discard(i)
+            if not row:
+                del rows[i]
+        units += 1
+    return units, list(rows.values())
+
+
+def _random_sparse(rng, values):
+    m, n = rng.randint(1, 30), rng.randint(1, 30)
+    density = rng.choice((0.1, 0.25, 0.5))
+    return [{j: rng.choice(values) for j in range(n) if rng.random() < density}
+            for _ in range(m)]
+
+
+def _kernel_matches_min_scan(rows):
+    units, residual = _eliminate_units([dict(r) for r in rows])
+    ref_units, ref_residual = _min_scan_unit_phase(rows)
+    assert units == ref_units
+    assert [list(r.items()) for r in residual] == [list(r.items()) for r in ref_residual]
+    return units, residual
+
+
+def test_unit_kernel_matches_min_scan_on_random_matrices():
+    rng = seeded(606)
+    kinds = {"unit-rich": (1, -1, 1, -1, 2, -3), "unit-free": (2, -2, 3, -4, 6, 9),
+             "mixed": (1, -1, 2, -2, 3, 5, -7)}
+    for name, values in kinds.items():
+        seen_units = seen_residual = 0
+        for _ in range(60):
+            units, residual = _kernel_matches_min_scan(_random_sparse(rng, values))
+            seen_units += units > 0
+            seen_residual += bool(residual)
+        if name == "unit-free":
+            assert seen_units == 0
+        else:
+            assert seen_units > 40, name
+        if name != "unit-rich":
+            assert seen_residual > 20, name
+
+
+def test_unit_kernel_matches_min_scan_on_boundary_maps():
+    rng = seeded(707)
+    forms = [surface_circle(4)] + [random_form(rng, 8) for _ in range(4)]
+    for f in forms:
+        for k in range(3, f.rank + 1):
+            _kernel_matches_min_scan(boundary_rows(f, k))
+
+
+def test_unit_kernel_consumes_rows_and_keeps_row_order():
+    rows = [{0: 2, 1: 4}, {}, {0: 1, 2: 1}, {1: 6, 2: 3}, {0: 3}]
+    units, residual = _eliminate_units(rows)
+    # Row 2 is the only one with a unit; of its ±1 columns, column 2 has the
+    # fewer rows (2 against 3), so it is cleared, from row 3 only.
+    assert units == 1
+    assert residual == [{0: 2, 1: 4}, {1: 6, 0: -3}, {0: 3}]
+    assert [r is rows[i] for r, i in zip(residual, (0, 3, 4))] == [True] * 3
+    assert _eliminate_units([{}, {3: 5}]) == (0, [{3: 5}])
+    assert _eliminate_units([{}, {3: -1, 4: 7}, {}]) == (1, [])
+    assert _eliminate_units([]) == (0, [])
+
+
+def test_q_rank_matches_bareiss_when_a_residual_is_left():
+    rng = seeded(808)
+    checked = 0
+    while checked < 40:
+        rows = _random_sparse(rng, (1, -1, 2, -2, 3, 4, -6))
+        if not _eliminate_units([dict(r) for r in rows])[1]:
+            continue
+        n = 1 + max((j for r in rows for j in r), default=0)
+        dense = [[r.get(j, 0) for j in range(n)] for r in rows]
+        assert rank_over_field([dict(r) for r in rows], 0) == _dense_rank_char0(dense)
+        checked += 1

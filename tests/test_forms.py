@@ -1,8 +1,11 @@
+from itertools import product
+
 import pytest
 
 from conftest import random_form, seeded
 
-from cuphom.forms import (FormError, ThreeForm, builtin_family, connected_sum,
+from cuphom.exterior import blade_basis
+from cuphom.forms import (FormError, ThreeForm, _trusted_form, builtin_family, connected_sum,
                           mapping_torus, negate, parse_form, permute_indices,
                           reduce_mod_p, serialize_form, surface_circle, torus3,
                           trivial)
@@ -155,3 +158,14 @@ def test_direct_construction_validates():
         ThreeForm(2, ((1, 2, 3, 1),))
     with pytest.raises(FormError):
         ThreeForm(3, ((1, 2, 3, 1), (1, 2, 3, 4)))
+
+
+@pytest.mark.parametrize("b", [3, 4])
+def test_trusted_form_equals_validated(b):
+    # Every form of the coefficient-1 box, with terms built as the scans build them.
+    triples = blade_basis(b, 3)
+    for coeffs in product((-1, 0, 1), repeat=len(triples)):
+        terms = tuple((i, j, k, a) for (i, j, k), a in zip(triples, coeffs) if a)
+        trusted, checked = _trusted_form(b, terms), ThreeForm(b, terms)
+        assert trusted == checked and hash(trusted) == hash(checked)
+        assert trusted.coeffs == checked.coeffs and trusted.terms == checked.terms

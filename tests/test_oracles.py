@@ -7,7 +7,7 @@ from conftest import random_form, seeded
 from cuphom.cup_complex import boundary_rows
 from cuphom.exact_linalg import rank_over_field
 from cuphom.forms import surface_circle, torus3, trivial
-from cuphom.homology import AbelianGroup, cup_homology
+from cuphom.homology import AbelianGroup, cup_homology, h_mod_p, h_rank, mod_p_degree_dims
 from cuphom.oracles import (field_homology_oracle, surface_circle_group,
                             surface_circle_expected)
 
@@ -95,3 +95,30 @@ def test_field_oracle_matches_sparse_ranks():
             expect = [comb(f.rank, k) - ranks.get(k, 0) - ranks.get(k + 3, 0)
                       for k in range(f.rank + 1)]
             assert dims == expect
+
+
+def test_h_rank_matches_dense_oracle():
+    # The Q-rank (unit phase, then the fraction-free residual) against Bareiss.
+    rng = seeded(911)
+    for _ in range(60):
+        f = random_form(rng, rng.randint(1, 8))
+        dims = field_homology_oracle(f, 0)
+        assert sum(dims[0::2]) == sum(dims[1::2])
+        assert h_rank(f) == sum(dims[0::2])
+
+
+def test_checks_do_not_use_the_unit_kernel(monkeypatch):
+    # F_p ranks and the dense oracle share no code with the Q-rank's unit
+    # phase, so the UCT check and the oracle stay independent of it.
+    import cuphom.exact_linalg as el
+
+    def no_kernel(rows):
+        raise AssertionError("unit kernel called")
+
+    monkeypatch.setattr(el, "_eliminate_units", no_kernel)
+    f = random_form(seeded(912), 6)
+    with pytest.raises(AssertionError, match="unit kernel"):
+        h_rank(f)
+    assert h_mod_p(f, 2) >= 1
+    assert len(mod_p_degree_dims(f, 3)) == 7
+    assert len(field_homology_oracle(f, 0)) == 7
