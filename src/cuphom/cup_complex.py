@@ -17,6 +17,7 @@ from array import array
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import itemgetter
 
 from .exact_linalg import sparse_product
 from .exterior import blade_basis
@@ -27,6 +28,20 @@ from .report import CheckReport
 def _triple_slots(b):
     """Index of each increasing triple in ``blade_basis(b, 3)``."""
     return {t: s for s, t in enumerate(blade_basis(b, 3))}
+
+
+def _getter(positions):
+    """The function taking a blade to the tuple of its entries at ``positions``.
+
+    ``itemgetter`` alone returns a bare entry for one position and is not
+    defined for none.
+    """
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        i, = positions
+        return lambda blade: (blade[i],)
+    return lambda blade: ()
 
 
 @lru_cache(maxsize=None)
@@ -42,12 +57,15 @@ def _entry_table(b, k):
     row_index = {blade: i for i, blade in enumerate(blade_basis(b, k - 3))}
     slots = _triple_slots(b)
     runs = [([], []) for _ in slots]  # per slot: (+1 entries, -1 entries)
+    # Per choice of triple positions: getters for the triple and the rest of
+    # a blade, and whether the entry is -mu(t) (the 1-based positions sum
+    # to pos sum + 3, flipping the parity).
+    patterns = [(itemgetter(*pos), _getter(tuple(i for i in range(k) if i not in pos)),
+                 sum(pos) % 2 == 0)
+                for pos in combinations(range(k), 3)]
     for c, blade in enumerate(blade_basis(b, k)):
-        for pos in combinations(range(k), 3):
-            triple = (blade[pos[0]], blade[pos[1]], blade[pos[2]])
-            rest = tuple(x for i, x in enumerate(blade) if i not in pos)
-            # 1-based positions sum to pos sum + 3, flipping the parity.
-            runs[slots[triple]][sum(pos) % 2 == 0].append((row_index[rest], c))
+        for triple, rest, minus in patterns:
+            runs[slots[triple(blade)]][minus].append((row_index[rest(blade)], c))
     # Two-byte indices: forms.MAX_RANK keeps every blade index below
     # C(16, 8) = 12870 < 2^16.  The tables are kept for the life of the
     # process, and at b = 11 they already hold 42k entries.

@@ -11,10 +11,14 @@ Smith normal form computations", J. Symbolic Comput. 2001).  Boundary maps
 have entries ±(form coefficients), so most pivots are units: these are
 eliminated on the sparse rows by :func:`_eliminate_units`, each giving an
 invariant factor 1 and one unit of rank.  Two finishers take the block left
-over, which has no unit entry: Smith normal form densifies it for the
-smallest-pivot elimination, and the Q-rank eliminates it fraction-free on
-the sparse rows.  Ranks over F_p do not use the unit phase, so the checks
-that compare them with Smith normal form stay independent of it.
+over, which has no unit entry.  Smith normal form (:func:`_dense_snf`)
+turns it so that it is wide, densifies it, and takes one diagonal step at a
+time: a single scan for the smallest pivot, Euclid down the pivot column
+with row operations, then column operations on the pivot row alone (the
+pivot column is zero elsewhere by then), and the pivot row and column are
+cut out of the block.  The Q-rank eliminates the block fraction-free on the
+sparse rows.  Ranks over F_p do not use the unit phase, so the checks that
+compare them with Smith normal form stay independent of it.
 """
 
 from dataclasses import dataclass
@@ -77,57 +81,82 @@ def _round_div(a, b):
 
 
 def _dense_snf(rows):
-    """Smallest-pivot Smith normal form of nonempty sparse rows, densified over used columns."""
+    """Smith normal form of nonempty sparse rows with no unit entry, on a dense block.
+
+    The block is oriented to have no more rows than used columns (the
+    invariant factors of a matrix and of its transpose agree) and densified
+    over those columns.  Each diagonal step then costs about one pass over
+    the live block:
+
+    1. One scan for the smallest nonzero magnitude picks the pivot; it
+       stops at the first entry equal to the gcd of all entries (1 for most
+       blocks).
+    2. Rounded-quotient row operations clear the pivot column.  While a
+       remainder is left in it, the smallest one becomes the pivot and the
+       column is cleared again (Euclid down the column).
+    3. The pivot column is now zero outside the pivot row, so the column
+       operations that reduce the rest of that row modulo the pivot touch
+       no other row.  If a remainder survives, the smallest one becomes the
+       pivot and step 2 runs on its column.
+    4. The block is pivot ⊕ (the rest): the pivot is recorded, its row is
+       deleted and its column is deleted from every other row.
+
+    Each new pivot is smaller in magnitude than the last, so every step
+    ends.  The recorded pivots are then put in divisibility order.
+    """
     used = sorted({j for r in rows for j in r})
-    D = [[r.get(j, 0) for j in used] for r in rows]
-    m, n = len(D), len(used)
-
-    for k in range(min(m, n)):
-        while True:
-            # Pivot on the smallest remaining entry; rounded-quotient
-            # reductions then shrink the pivot like the Euclidean algorithm,
-            # which keeps intermediate entries from exploding.
-            best = None
-            for i in range(k, m):
-                Di = D[i]
-                for j in range(k, n):
-                    v = Di[j]
-                    if v and (best is None or abs(v) < best[0]):
-                        best = (abs(v), i, j)
-            if best is None:
-                break
-            _, bi, bj = best
-            if bi != k:
-                D[k], D[bi] = D[bi], D[k]
-            if bj != k:
-                for row in D:
-                    row[k], row[bj] = row[bj], row[k]
-            p = D[k][k]
-            clean = True
-            Dk = D[k]
-            for i in range(k + 1, m):
-                a = D[i][k]
-                if a:
-                    q = _round_div(a, p)
-                    if q:
-                        D[i] = [vi - q * vk for vi, vk in zip(D[i], Dk)]
-                    if D[i][k]:
-                        clean = False
-            for j in range(k + 1, n):
-                a = Dk[j]
-                if a:
-                    q = _round_div(a, p)
-                    if q:
-                        for row in D:
-                            row[j] -= q * row[k]
-                    if Dk[j]:
-                        clean = False
-            if clean:
-                break
-        if D[k][k] == 0:
+    if len(rows) > len(used):
+        D = [[r.get(j, 0) for r in rows] for j in used]
+    else:
+        D = [[r.get(j, 0) for j in used] for r in rows]
+    # Unimodular operations keep every entry a multiple of the gcd g of the
+    # entries, so an entry of magnitude g is a smallest one.
+    g = gcd(*(v for r in rows for v in r.values()))
+    diag = []
+    while D:
+        # Step 1: the only scan of the whole block in this diagonal step.
+        best = 0
+        for i, row in enumerate(D):
+            v = min(map(abs, filter(None, row)), default=0)
+            if v and (not best or v < best):
+                best, pi = v, i
+                if v == g:
+                    break
+        if not best:
             break
-
-    diag = [D[i][i] for i in range(min(m, n)) if D[i][i] != 0]
+        P = D[pi]
+        c = list(map(abs, P)).index(best)
+        while True:
+            while True:  # step 2
+                p = P[c]
+                ri = None
+                for i, row in enumerate(D):
+                    a = row[c]
+                    if a and i != pi:
+                        q = _round_div(a, p)
+                        if q:
+                            row = D[i] = [x - q * y for x, y in zip(row, P)]
+                        r = row[c]
+                        if r and (ri is None or abs(r) < rmin):
+                            ri, rmin = i, abs(r)
+                if ri is None:
+                    break
+                pi = ri
+                P = D[pi]
+            rj = None  # step 3: column operations, restricted to the pivot row
+            for j, v in enumerate(P):
+                if v and j != c:
+                    v -= _round_div(v, p) * p
+                    P[j] = v
+                    if v and (rj is None or abs(v) < rmin):
+                        rj, rmin = j, abs(v)
+            if rj is None:
+                break
+            c = rj
+        diag.append(p)  # step 4
+        del D[pi]
+        for row in D:
+            del row[c]
     factors = _divisibility_chain(diag)
     return SNFResult(rank=len(factors), invariant_factors=tuple(factors))
 
@@ -211,9 +240,10 @@ def smith_normal_form(rows):
     """Invariant factors of an integer matrix of sparse rows, in divisibility order.
 
     Two phases.  The sparse phase (:func:`_eliminate_units`) eliminates unit
-    pivots, each an invariant factor 1.  The dense phase densifies the rest
-    over the columns it uses (zero rows and columns carry no invariant
-    factors) and eliminates by smallest pivots.  ``rows`` is left unchanged.
+    pivots, each an invariant factor 1.  The dense phase (:func:`_dense_snf`)
+    densifies the rest over the columns it uses (zero rows and columns carry
+    no invariant factors) and eliminates by smallest pivots, one pivot row
+    and column at a time.  ``rows`` is left unchanged.
     """
     units, rest = _eliminate_units([dict(r) for r in rows if r])
     rest = _dense_snf(rest)

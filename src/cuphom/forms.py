@@ -37,13 +37,14 @@ class ThreeForm:
     terms: tuple
 
     def __post_init__(self):
-        if not isinstance(self.rank, int) or self.rank < 0:
+        if not isinstance(self.rank, int) or isinstance(self.rank, bool) or self.rank < 0:
             raise FormError(f"rank must be a nonnegative integer, got {self.rank!r}")
         if self.rank > MAX_RANK:
             raise FormError(f"rank {self.rank} exceeds the supported maximum {MAX_RANK}")
         seen = set()
         for term in self.terms:
-            if len(term) != 4 or not all(isinstance(x, int) for x in term):
+            if (len(term) != 4
+                    or not all(isinstance(x, int) and not isinstance(x, bool) for x in term)):
                 raise FormError(f"term {term!r} is not an integer quadruple [i, j, k, a]")
             i, j, k, a = term
             if not i < j < k:

@@ -6,9 +6,11 @@ import pytest
 from conftest import random_form, seeded
 
 from cuphom.cup_complex import boundary_rows
-from cuphom.exact_linalg import (_eliminate_units, is_prime, rank_over_field,
-                                 smith_normal_form, sparse_product)
-from cuphom.forms import surface_circle, torus3
+from cuphom.exact_linalg import (SNFResult, _dense_snf, _divisibility_chain, _eliminate_units,
+                                 _round_div, is_prime, rank_over_field, smith_normal_form,
+                                 sparse_product)
+from cuphom.exterior import blade_basis
+from cuphom.forms import ThreeForm, surface_circle, torus3
 from cuphom.oracles import _dense_rank_char0
 
 
@@ -221,6 +223,148 @@ def test_snf_matches_determinantal_divisors(monkeypatch):
             assert residual_rows.count(0) > 20, residual_rows
         else:
             assert torsion > 20
+
+
+def _whole_block_dense_snf(rows):
+    """Reference dense phase: before every Euclid round, rescan the whole
+    block for the smallest entry and swap it to (k, k); clear its row and
+    column with row and column operations that sweep every row."""
+    used = sorted({j for r in rows for j in r})
+    D = [[r.get(j, 0) for j in used] for r in rows]
+    m, n = len(D), len(used)
+    for k in range(min(m, n)):
+        while True:
+            best = None
+            for i in range(k, m):
+                for j in range(k, n):
+                    v = D[i][j]
+                    if v and (best is None or abs(v) < best[0]):
+                        best = (abs(v), i, j)
+            if best is None:
+                break
+            _, bi, bj = best
+            if bi != k:
+                D[k], D[bi] = D[bi], D[k]
+            if bj != k:
+                for row in D:
+                    row[k], row[bj] = row[bj], row[k]
+            p = D[k][k]
+            clean = True
+            Dk = D[k]
+            for i in range(k + 1, m):
+                a = D[i][k]
+                if a:
+                    q = _round_div(a, p)
+                    if q:
+                        D[i] = [vi - q * vk for vi, vk in zip(D[i], Dk)]
+                    if D[i][k]:
+                        clean = False
+            for j in range(k + 1, n):
+                a = Dk[j]
+                if a:
+                    q = _round_div(a, p)
+                    if q:
+                        for row in D:
+                            row[j] -= q * row[k]
+                    if Dk[j]:
+                        clean = False
+            if clean:
+                break
+        if D[k][k] == 0:
+            break
+    factors = _divisibility_chain([D[i][i] for i in range(min(m, n)) if D[i][i]])
+    return SNFResult(rank=len(factors), invariant_factors=tuple(factors))
+
+
+def _transpose(rows):
+    cols = {}
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols.setdefault(j, {})[i] = v
+    return [cols[j] for j in sorted(cols)]
+
+
+def _dense_phase_matches_reference(rows):
+    snf = _dense_snf([dict(r) for r in rows])
+    assert snf == _whole_block_dense_snf(rows), rows
+    return snf
+
+
+def test_dense_phase_matches_whole_block_reference_on_random_matrices():
+    rng = seeded(909)
+    unit_free = (0, 0, 0, 2, -2, 3, -4, 6, 9, -10, 15)
+
+    def block(m, n):
+        return [{j: v for j in range(n) if (v := rng.choice(unit_free))} for _ in range(m)]
+
+    def planted(m, n):
+        r = rng.randint(1, min(m, n))
+        a = M(_random_dense(rng, m, r, 3))
+        d = [{i: rng.choice((2, 3, 4, 6, 12, 35))} for i in range(r)]
+        b = M(_random_dense(rng, r, n, 3))
+        return sparse_product(sparse_product(a, d), b)
+
+    shapes = {"tall": lambda: (rng.randint(9, 24), rng.randint(1, 8)),
+              "wide": lambda: (rng.randint(1, 8), rng.randint(9, 24)),
+              "square": lambda: (rng.randint(1, 12),) * 2}
+    cases = [[{0: 2, 1: 3}], [{0: 6}, {1: 4}, {0: 4, 1: 6}], [{5: 10, 7: 4}, {5: 15, 7: 6}]]
+    for shape in shapes.values():
+        cases += [block(*shape()) for _ in range(25)]
+        cases += [planted(*shape()) for _ in range(25)]
+    deficient = torsion = 0
+    for rows in cases:
+        rows = [r for r in rows if r]
+        snf = _dense_phase_matches_reference(rows)
+        n = len({j for r in rows for j in r})
+        deficient += snf.rank < min(len(rows), n)
+        torsion += any(d > 1 for d in snf.invariant_factors)
+    assert smith_normal_form([{0: 2, 1: 3}]).invariant_factors == (1,)
+    assert deficient > 30 and torsion > 100, (deficient, torsion)
+
+
+def _snf_residuals(forms, monkeypatch):
+    """The rows that smith_normal_form hands to the dense phase on every map of ``forms``."""
+    import cuphom.exact_linalg as el
+
+    seen = []
+
+    def capture(rows):
+        seen.append([dict(r) for r in rows])
+        return _dense_snf(rows)
+
+    monkeypatch.setattr(el, "_dense_snf", capture)
+    for f in forms:
+        for k in range(3, f.rank + 1):
+            smith_normal_form(boundary_rows(f, k))
+    monkeypatch.undo()
+    return [rows for rows in seen if rows]
+
+
+def test_dense_phase_matches_whole_block_reference_on_boundary_residuals(monkeypatch):
+    rng = seeded(1010)
+
+    def dense_form(b):
+        return ThreeForm.from_coeffs(b, {t: rng.choice((-1, 0, 1)) for t in blade_basis(b, 3)})
+
+    forms = [surface_circle(4), surface_circle(5)]
+    forms += [dense_form(b) for b in (8, 9) for _ in range(4)]
+    residuals = _snf_residuals(forms, monkeypatch)
+    big = torsion = 0
+    for rows in residuals:
+        snf = _dense_phase_matches_reference(rows)
+        big += sum(map(len, rows)) > 400
+        torsion += any(d > 1 for d in snf.invariant_factors)
+    assert len(residuals) > 20 and big >= 4 and torsion > 5, (len(residuals), big, torsion)
+
+
+def test_snf_invariant_under_transposition():
+    rng = seeded(1111)
+    cases = [_random_sparse(rng, (1, -1, 2, -2, 3, 5, -7)) for _ in range(40)]
+    cases += [_random_sparse(rng, (2, -2, 3, -4, 6, 9)) for _ in range(40)]
+    cases += [boundary_rows(f, k) for f in (surface_circle(3), random_form(rng, 7))
+              for k in range(3, f.rank + 1)]
+    for rows in cases:
+        assert smith_normal_form(rows) == smith_normal_form(_transpose(rows)), rows
 
 
 def _min_scan_unit_phase(rows):

@@ -46,8 +46,10 @@ def test_parse_errors(text, fragment):
 
 def test_serialize_round_trip():
     rng = seeded(5)
-    cases = [torus3(5), trivial(2), surface_circle(3), mapping_torus(2, 1)]
-    cases += [random_form(rng, rng.randint(0, 8)) for _ in range(30)]
+    cases = [trivial(b) for b in (0, 2, 16)] + [torus3(n) for n in (-3, 0, 5)]
+    cases += [surface_circle(g) for g in range(1, 8)]
+    cases += [mapping_torus(w, v0) for w in range(3) for v0 in range(3)]
+    cases += [random_form(rng, rng.randint(0, 8)) for _ in range(200)]
     for f in cases:
         text = serialize_form(f)
         assert text.endswith("\n")
@@ -158,6 +160,17 @@ def test_direct_construction_validates():
         ThreeForm(2, ((1, 2, 3, 1),))
     with pytest.raises(FormError):
         ThreeForm(3, ((1, 2, 3, 1), (1, 2, 3, 4)))
+
+
+def test_direct_construction_rejects_booleans():
+    # bool is an int subclass, but JSON writes it as true/false, which
+    # parse_form refuses: such a form could not round-trip.
+    with pytest.raises(FormError, match="rank"):
+        ThreeForm(True, ())
+    with pytest.raises(FormError, match="quadruple"):
+        ThreeForm(3, ((1, 2, 3, True),))
+    with pytest.raises(FormError, match="quadruple"):
+        ThreeForm(4, ((1, 2, 4, 1), (1, True, 3, 2)))
 
 
 @pytest.mark.parametrize("b", [3, 4])
