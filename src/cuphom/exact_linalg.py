@@ -21,21 +21,8 @@ sparse rows.  Ranks over F_p do not use the unit phase, so the checks that
 compare them with Smith normal form stay independent of it.
 """
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
-
-
-@dataclass(frozen=True)
-class SNFResult:
-    """Rank and invariant factors d_1 | d_2 | ... | d_r, all positive.
-
-    Factors equal to 1 are kept so that ``len(invariant_factors) == rank``;
-    callers building torsion strip them.
-    """
-
-    rank: int
-    invariant_factors: tuple
 
 
 def is_prime(n):
@@ -52,24 +39,25 @@ def is_prime(n):
 
 
 def _divisibility_chain(values):
-    """Normalize a multiset of nonzero moduli into d_1 | d_2 | ... order.
+    """Nonzero moduli as the tuple d_1 | d_2 | ... of the same abelian group.
 
-    Repeatedly replaces a non-dividing pair (a, b) with (gcd, lcm); this is
-    exact on isomorphism classes (CRT) and terminates.
+    The magnitudes are inserted in ascending order, each from the top of the
+    chain built so far: while the entry below does not divide the carried
+    value v, that entry a becomes lcm(a, v) and gcd(a, v) is carried down;
+    then the carry is inserted.  At each prime this is insertion into a
+    sorted list of exponents, so the result is exact on isomorphism classes
+    (CRT) and is a divisibility chain.
     """
-    vals = [abs(v) for v in values]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(vals)):
-            for j in range(i + 1, len(vals)):
-                a, b = vals[i], vals[j]
-                if b % a:
-                    g = gcd(a, b)
-                    vals[i], vals[j] = g, a // g * b
-                    changed = True
-    vals.sort()
-    return vals
+    chain = []
+    for v in sorted(map(abs, values)):
+        i = len(chain)
+        while i and v % chain[i - 1]:
+            a = chain[i - 1]
+            g = gcd(a, v)
+            chain[i - 1], v = a // g * v, g
+            i -= 1
+        chain.insert(i, v)
+    return tuple(chain)
 
 
 def _round_div(a, b):
@@ -104,11 +92,12 @@ def _dense_snf(rows):
     Each new pivot is smaller in magnitude than the last, so every step
     ends.  The recorded pivots are then put in divisibility order.
     """
-    used = sorted({j for r in rows for j in r})
-    if len(rows) > len(used):
-        D = [[r.get(j, 0) for r in rows] for j in used]
-    else:
-        D = [[r.get(j, 0) for j in used] for r in rows]
+    pos = {j: i for i, j in enumerate(sorted({j for r in rows for j in r}))}
+    D = [[0] * len(pos) for _ in rows]
+    for row, r in zip(D, rows):
+        for j, v in r.items():
+            row[pos[j]] = v
+    D = [list(col) for col in zip(*D)] if len(D) > len(pos) else D
     # Unimodular operations keep every entry a multiple of the gcd g of the
     # entries, so an entry of magnitude g is a smallest one.
     g = gcd(*(v for r in rows for v in r.values()))
@@ -157,8 +146,7 @@ def _dense_snf(rows):
         del D[pi]
         for row in D:
             del row[c]
-    factors = _divisibility_chain(diag)
-    return SNFResult(rank=len(factors), invariant_factors=tuple(factors))
+    return _divisibility_chain(diag)
 
 
 def _has_unit(row):
@@ -237,7 +225,10 @@ def _eliminate_units(rows):
 
 
 def smith_normal_form(rows):
-    """Invariant factors of an integer matrix of sparse rows, in divisibility order.
+    """Invariant factors d_1 | d_2 | ... of an integer matrix of sparse rows, as a tuple.
+
+    Factors equal to 1 are kept, so the length of the tuple is the rank and
+    the factors above 1 are its tail.
 
     Two phases.  The sparse phase (:func:`_eliminate_units`) eliminates unit
     pivots, each an invariant factor 1.  The dense phase (:func:`_dense_snf`)
@@ -246,9 +237,7 @@ def smith_normal_form(rows):
     and column at a time.  ``rows`` is left unchanged.
     """
     units, rest = _eliminate_units([dict(r) for r in rows if r])
-    rest = _dense_snf(rest)
-    return SNFResult(rank=units + rest.rank,
-                     invariant_factors=(1,) * units + rest.invariant_factors)
+    return (1,) * units + _dense_snf(rest)
 
 
 def _strip_content(row):

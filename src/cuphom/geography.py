@@ -157,14 +157,16 @@ _CHECKPOINT_FIELDS = {"b": int, "coeff_max": int, "shards": int, "completed": li
                       "enumerated_count": int, "partial": dict}
 
 
-def _load_checkpoint(cp_path):
-    """Read a sidecar; returns (state, h -> (witness key, form)).
+def _load_checkpoint(cp_path, params):
+    """Read the sidecar of a scan with params (b, coeff_max, shards); returns
+    (state, h -> (witness key, form)).
 
     Refuses, naming the file, anything but the shape
     :func:`run_shard_to_checkpoint` writes: an object with every field of its
-    JSON type, ``completed`` a list of distinct shard indices in
-    ``range(shards)`` and ``partial`` a map from decimal h to the valid terms
-    of a rank-b witness.
+    JSON type and the same params, ``completed`` a list of distinct shard
+    indices in ``range(shards)``, ``enumerated_count`` the number of forms in
+    those shards and ``partial`` a map from decimal h to the valid terms of a
+    rank-b witness.
     """
     with open(cp_path, encoding="utf-8") as fh:
         state = json.load(fh)
@@ -173,11 +175,20 @@ def _load_checkpoint(cp_path):
     for key, kind in _CHECKPOINT_FIELDS.items():
         if type(state.get(key)) is not kind:
             raise ValueError(f"checkpoint {cp_path}: {key!r} is missing or not a {kind.__name__}")
+    if (state["b"], state["coeff_max"], state["shards"]) != params:
+        raise ValueError(f"checkpoint {cp_path} was written with different scan parameters")
+    b, coeff_max, shards = params
     completed = state["completed"]
-    if (not all(type(s) is int and 0 <= s < state["shards"] for s in completed)
+    if (not all(type(s) is int and 0 <= s < shards for s in completed)
             or len(set(completed)) != len(completed)):
         raise ValueError(f"checkpoint {cp_path}: 'completed' must hold distinct shard "
-                         f"indices in 0..{state['shards'] - 1}")
+                         f"indices in 0..{shards - 1}")
+    slots, base = len(blade_basis(b, 3)), 2 * coeff_max + 1
+    prefix_len, space = _shard_layout(slots, base, shards)
+    count = base ** (slots - prefix_len) * sum(len(range(i, space, shards)) for i in completed)
+    if state["enumerated_count"] != count:
+        raise ValueError(f"checkpoint {cp_path}: 'enumerated_count' must be {count}, the "
+                         "number of forms in its completed shards")
     realized = {}
     for h, terms in state["partial"].items():
         if not (h.isascii() and h.isdecimal()):
@@ -188,7 +199,7 @@ def _load_checkpoint(cp_path):
             raise ValueError(f"checkpoint {cp_path}: 'partial' entry for h = {h} is not "
                              "a list of [i, j, k, a] integer quadruples")
         try:
-            form = ThreeForm(state["b"], tuple(map(tuple, terms)))
+            form = ThreeForm(b, tuple(map(tuple, terms)))
         except FormError as e:
             raise ValueError(f"checkpoint {cp_path}: witness for h = {h}: {e}") from None
         realized[int(h)] = (witness_key(form), form)
@@ -209,9 +220,7 @@ def run_shard_to_checkpoint(b, coeff_max, shards, shard_index, out_path):
              "completed": [], "enumerated_count": 0, "partial": {}}
     realized = {}
     if os.path.exists(cp_path):
-        state, realized = _load_checkpoint(cp_path)
-        if (state["b"], state["coeff_max"], state["shards"]) != (b, coeff_max, shards):
-            raise ValueError("checkpoint was written with different scan parameters")
+        state, realized = _load_checkpoint(cp_path, (b, coeff_max, shards))
     if shard_index in state["completed"]:
         return False
     count, part = scan_shard(b, coeff_max, shards, shard_index)

@@ -32,8 +32,8 @@ class AbelianGroup:
     @classmethod
     def from_parts(cls, free_rank, moduli):
         """Normalize arbitrary moduli: drop units, force d_1 | d_2 | ... order."""
-        chain = [d for d in _divisibility_chain([m for m in moduli if m]) if d > 1]
-        return cls(free_rank, tuple(chain))
+        chain = _divisibility_chain(m for m in moduli if m)
+        return cls(free_rank, chain[chain.count(1):])
 
     def render(self):
         if self.free_rank == 0 and not self.torsion:
@@ -64,21 +64,15 @@ class CupHomologyResult:
     h: Fraction
 
 
-def _group(dim, rank_out, snf_in):
-    """ker/im at a degree of dimension dim, from rank(d_out) and the SNF of d_in
-    (None where no map enters the degree)."""
-    rank_in, factors = (snf_in.rank, snf_in.invariant_factors) if snf_in else (0, ())
-    return AbelianGroup.from_parts(dim - rank_out - rank_in, [d for d in factors if d > 1])
-
-
 def cup_homology(f):
     """Full integral homology, split by exterior degree and by parity.
 
     Each boundary map is built and eliminated once: its Smith normal form
     gives both its rank (where it leaves a degree) and the torsion it cuts
-    out (where it enters one).  Every adjacent pair of maps is checked to
-    compose to zero; a nonzero composite is a hard error, since the complex
-    itself is broken.
+    out (where it enters one).  The invariant factors above 1 are the tail
+    of a divisibility chain, so they are the torsion as they stand.  Every
+    adjacent pair of maps is checked to compose to zero; a nonzero composite
+    is a hard error, since the complex itself is broken.
     """
     b = f.rank
     snf = {}
@@ -86,8 +80,10 @@ def cup_homology(f):
         if nonzeros:
             raise RuntimeError(f"d_{k - 3} o d_{k} != 0: not a chain complex")
         snf[k] = smith_normal_form(rows)
-    groups = [_group(comb(b, k), snf[k].rank if k in snf else 0, snf.get(k + 3))
-              for k in range(b + 1)]
+    groups = []
+    for k in range(b + 1):
+        out, into = snf.get(k, ()), snf.get(k + 3, ())
+        groups.append(AbelianGroup(comb(b, k) - len(out) - len(into), into[into.count(1):]))
     even = direct_sum(groups[0::2])
     odd = direct_sum(groups[1::2])
     return CupHomologyResult(rank=b, by_degree=tuple(groups), even=even, odd=odd,

@@ -259,7 +259,11 @@ def test_each_map_eliminated_once_per_ring(tmp_path, capsys, monkeypatch):
                                      '{"b": 3, "coeff_max": 1, "shards": 2, "completed": ["x"], '
                                      '"enumerated_count": 0, "partial": {}}',
                                      '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [], '
-                                     '"enumerated_count": 0, "partial": {"1": 5}}'])
+                                     '"enumerated_count": 0, "partial": {"1": 5}}',
+                                     '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [], '
+                                     '"enumerated_count": -100, "partial": {}}',
+                                     '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [1], '
+                                     '"enumerated_count": 2, "partial": {}}'])
 def test_malformed_checkpoint_exit2(tmp_path, capsys, sidecar):
     out = tmp_path / "b3.json"
     cp = tmp_path / "b3.json.checkpoint.json"

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_form, seeded
 
 from cuphom.cup_complex import boundary_rows
-from cuphom.exact_linalg import (SNFResult, _dense_snf, _divisibility_chain, _eliminate_units,
+from cuphom.exact_linalg import (_dense_snf, _divisibility_chain, _eliminate_units,
                                  _round_div, is_prime, rank_over_field, smith_normal_form,
                                  sparse_product)
 from cuphom.exterior import blade_basis
@@ -26,28 +26,28 @@ def M(dense, p=0):
 
 
 def test_snf_basic():
-    assert smith_normal_form(M([[2, 4], [6, 8]])).invariant_factors == (2, 4)
+    assert smith_normal_form(M([[2, 4], [6, 8]])) == (2, 4)
     r = smith_normal_form(M([[0] * 5] * 3))
-    assert r.rank == 0 and r.invariant_factors == ()
-    assert smith_normal_form(M([[7]])).invariant_factors == (7,)
-    assert smith_normal_form(M([[-7]])).invariant_factors == (7,)
+    assert len(r) == 0 and r == ()
+    assert smith_normal_form(M([[7]])) == (7,)
+    assert smith_normal_form(M([[-7]])) == (7,)
     # Empty rows and unused columns carry no invariant factors.
-    assert smith_normal_form([{}, {5: 2, 9: 4}, {}, {5: 6, 9: 8}]).invariant_factors == (2, 4)
-    assert smith_normal_form([{3: 4}, {}, {8: 6}]).invariant_factors == (2, 12)
+    assert smith_normal_form([{}, {5: 2, 9: 4}, {}, {5: 6, 9: 8}]) == (2, 4)
+    assert smith_normal_form([{3: 4}, {}, {8: 6}]) == (2, 12)
     rows = [{}, {9: -7}]
-    assert smith_normal_form(rows).invariant_factors == (7,)
+    assert smith_normal_form(rows) == (7,)
     assert rows == [{}, {9: -7}]
 
 
 def test_snf_divisibility_normalization():
     # diag(2, 3) is not in normal form; the group is Z/6.
-    assert smith_normal_form(M([[2, 0], [0, 3]])).invariant_factors == (1, 6)
-    assert smith_normal_form(M([[4, 0], [0, 6]])).invariant_factors == (2, 12)
+    assert smith_normal_form(M([[2, 0], [0, 3]])) == (1, 6)
+    assert smith_normal_form(M([[4, 0], [0, 6]])) == (2, 12)
 
 
 def test_snf_empty_shapes():
-    assert smith_normal_form([]).rank == 0
-    assert smith_normal_form([{}, {}, {}, {}]).rank == 0
+    assert len(smith_normal_form([])) == 0
+    assert len(smith_normal_form([{}, {}, {}, {}])) == 0
     assert smith_normal_form([{}, {7: 3}, {}]) == smith_normal_form([{0: 3}])
 
 
@@ -98,9 +98,9 @@ def test_field_rank_consistent_with_snf():
             b = M(_random_dense(rng, inner, cols, 6))
             m = sparse_product(a, b)
         snf = smith_normal_form(m)
-        assert rank_over_field(_reduced(m, 0), 0) == snf.rank
+        assert rank_over_field(_reduced(m, 0), 0) == len(snf)
         for p in (2, 3, 5, 7, 97):
-            expected = sum(1 for d in snf.invariant_factors if d % p)
+            expected = sum(1 for d in snf if d % p)
             assert rank_over_field(_reduced(m, p), p) == expected
 
 
@@ -127,8 +127,7 @@ def test_snf_invariant_under_unimodular_ops():
             else:
                 i = rng.randrange(rows)
                 data[i] = [-a for a in data[i]]
-        assert (smith_normal_form(M(data)).invariant_factors
-                == smith_normal_form(M(m)).invariant_factors)
+        assert smith_normal_form(M(data)) == smith_normal_form(M(m))
 
 
 def _det(square):
@@ -213,16 +212,81 @@ def test_snf_matches_determinantal_divisors(monkeypatch):
             before = [dict(r) for r in rows]
             snf = smith_normal_form(rows)
             assert rows == before
-            assert len(snf.invariant_factors) == snf.rank
-            assert snf.invariant_factors == _determinantal_factors(dense), dense
+            assert type(snf) is tuple
+            assert snf == _determinantal_factors(dense), dense
             nonempty.append(sum(1 for r in rows if r))
-            torsion += any(d > 1 for d in snf.invariant_factors)
+            torsion += any(d > 1 for d in snf)
         if kind is unit_free:
             assert residual_rows == nonempty
         elif kind is unit_rich:
             assert residual_rows.count(0) > 20, residual_rows
         else:
             assert torsion > 20
+
+
+def _pairwise_divisibility_chain(values):
+    """Reference chain: replace a non-dividing pair (a, b) by (gcd, lcm) until
+    none is left, visiting every pair on each pass, then sort."""
+    vals = [abs(v) for v in values]
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(vals)):
+            for j in range(i + 1, len(vals)):
+                a, b = vals[i], vals[j]
+                if b % a:
+                    g = gcd(a, b)
+                    vals[i], vals[j] = g, a // g * b
+                    changed = True
+    vals.sort()
+    return vals
+
+
+def _chain_matches_pairwise_reference(values):
+    chain = _divisibility_chain(values)
+    assert chain == tuple(_pairwise_divisibility_chain(values)), values
+    return chain
+
+
+def test_divisibility_chain_matches_pairwise_reference_on_random_multisets():
+    rng = seeded(1212)
+    shared = [rng.randrange(10 ** 29, 10 ** 30) for _ in range(3)]
+    pools = {"small": range(1, 40), "smooth": (1, 2, 3, 4, 6, 8, 9, 12, 18, 24, 36, 72),
+             "30-digit": [c * s for c in shared for s in (1, 2, 3, 6, 35)]
+             + [rng.randrange(10 ** 29, 10 ** 30) for _ in range(5)]}
+    for name, pool in pools.items():
+        merged = 0
+        for _ in range(300):
+            values = [rng.choice(pool) * rng.choice((1, -1)) for _ in range(rng.randint(0, 12))]
+            values += values[:rng.randint(0, len(values))]  # repeated values
+            chain = _chain_matches_pairwise_reference(values)
+            merged += chain != tuple(sorted(map(abs, values)))
+        assert merged > 150, (name, merged)  # most multisets are not chains as drawn
+    assert _divisibility_chain([]) == ()
+    assert _chain_matches_pairwise_reference([-4, 6, 1, 1, 10]) == (1, 1, 2, 2, 60)
+
+
+def test_divisibility_chain_matches_pairwise_reference_on_cup_homology(monkeypatch):
+    # Every chain that cup_homology normalizes: the pivots of each dense block
+    # and the torsion merged into the even and odd parts.
+    import cuphom.exact_linalg as el
+    import cuphom.homology as hom
+
+    seen = []
+
+    def capture(values):
+        seen.append(list(values))
+        return _divisibility_chain(seen[-1])
+
+    monkeypatch.setattr(el, "_divisibility_chain", capture)
+    monkeypatch.setattr(hom, "_divisibility_chain", capture)
+    hom.cup_homology(surface_circle(6))
+    monkeypatch.undo()
+    torsion = 0
+    for values in seen:
+        torsion += any(d > 1 for d in _chain_matches_pairwise_reference(values))
+    assert len(seen) > 10 and torsion > 5 and max(map(len, seen)) > 100, \
+        (len(seen), torsion, max(map(len, seen)))
 
 
 def _whole_block_dense_snf(rows):
@@ -272,8 +336,7 @@ def _whole_block_dense_snf(rows):
                 break
         if D[k][k] == 0:
             break
-    factors = _divisibility_chain([D[i][i] for i in range(min(m, n)) if D[i][i]])
-    return SNFResult(rank=len(factors), invariant_factors=tuple(factors))
+    return tuple(_pairwise_divisibility_chain([D[i][i] for i in range(min(m, n)) if D[i][i]]))
 
 
 def _transpose(rows):
@@ -316,9 +379,9 @@ def test_dense_phase_matches_whole_block_reference_on_random_matrices():
         rows = [r for r in rows if r]
         snf = _dense_phase_matches_reference(rows)
         n = len({j for r in rows for j in r})
-        deficient += snf.rank < min(len(rows), n)
-        torsion += any(d > 1 for d in snf.invariant_factors)
-    assert smith_normal_form([{0: 2, 1: 3}]).invariant_factors == (1,)
+        deficient += len(snf) < min(len(rows), n)
+        torsion += any(d > 1 for d in snf)
+    assert smith_normal_form([{0: 2, 1: 3}]) == (1,)
     assert deficient > 30 and torsion > 100, (deficient, torsion)
 
 
@@ -353,7 +416,7 @@ def test_dense_phase_matches_whole_block_reference_on_boundary_residuals(monkeyp
     for rows in residuals:
         snf = _dense_phase_matches_reference(rows)
         big += sum(map(len, rows)) > 400
-        torsion += any(d > 1 for d in snf.invariant_factors)
+        torsion += any(d > 1 for d in snf)
     assert len(residuals) > 20 and big >= 4 and torsion > 5, (len(residuals), big, torsion)
 
 
