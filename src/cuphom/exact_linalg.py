@@ -16,13 +16,19 @@ turns it so that it is wide, densifies it, and takes one diagonal step at a
 time: a single scan for the smallest pivot, Euclid down the pivot column
 with row operations, then column operations on the pivot row alone (the
 pivot column is zero elsewhere by then), and the pivot row and column are
-cut out of the block.  The Q-rank eliminates the block fraction-free on the
-sparse rows.  Ranks over F_p do not use the unit phase, so the checks that
-compare them with Smith normal form stay independent of it.
+cut out of the block.  The Q-rank first bounds the block from below by its
+rank modulo the fixed prime :data:`BOUND_PRIME` (:func:`q_rank_bound`) and
+eliminates it fraction-free on the sparse rows only when that bound is not
+known to be exact.  Ranks over F_p do not use the unit phase, so the checks
+that compare them with Smith normal form stay independent of it.
 """
 
 from heapq import heapify, heappop, heappush
 from math import gcd, isqrt
+
+# The largest prime below 2^15: every product of two residues fits in one
+# CPython digit.  It affects only speed, never a rank (see q_rank_bound).
+BOUND_PRIME = 32749
 
 
 def is_prime(n):
@@ -264,17 +270,15 @@ def sparse_product(A, B):
     return out
 
 
-def _rank_rational(rows):
-    """Rank over Q; consumes ``rows``.
+def _fraction_free_rank(rows):
+    """Rank over Q of nonempty sparse rows, eliminated fraction-free; consumes ``rows``.
 
-    rank_Q = (unit pivots) + rank_Q(residual): the unit phase of
-    :func:`_eliminate_units` goes first, and the residual is eliminated
-    fraction-free.  Its rows are {column: value} dicts with their content
-    divided out; the row update (pv/g)*row - (rv/g)*pivot is an invertible
-    operation over Q, so the rank is exact.
+    The rows are {column: value} dicts with their content divided out; the
+    row update (pv/g)*row - (rv/g)*pivot is an invertible operation over Q,
+    so the rank is exact.
     """
-    rank, rows = _eliminate_units(rows)
     rows = [_strip_content(r) for r in rows]
+    rank = 0
     while len(rows) > 1:
         # Pivot row: fewest entries, then smallest magnitude, first on ties.
         keys = [(len(r), min(map(abs, r.values()))) for r in rows]
@@ -302,6 +306,37 @@ def _rank_rational(rows):
                 nxt.append(_strip_content(new))
         rows = nxt
     return rank + len(rows)
+
+
+def q_rank_bound(rows):
+    """Lower bound on the rank over Q, and how to finish it; consumes ``rows``.
+
+    Returns ``(bound, finish)``.  The unit phase of :func:`_eliminate_units`
+    goes first; if it leaves a residual, the bound is the unit count plus
+    the rank of the residual modulo :data:`BOUND_PRIME`.  The bound never
+    exceeds rank_Q: the unit phase is unimodular, so it keeps the rank over
+    Q and over F_p, and a rank can only drop modulo a prime.  ``finish`` is
+    None when the bound is the rank: the residual is empty, or its rank
+    modulo the prime is its smaller dimension, which no rank can exceed.
+    Otherwise ``finish()`` eliminates the kept residual fraction-free and
+    returns the exact rank.  An unlucky prime only lowers the bound, so the
+    fraction-free loop decides; the prime affects speed, never a rank.
+    """
+    units, rest = _eliminate_units(rows)
+    if not rest:
+        return units, None
+    p = BOUND_PRIME
+    bound = _rank_mod_p([{j: v % p for j, v in r.items() if v % p} for r in rest], p)
+    if bound == min(len(rest), len({j for r in rest for j in r})):
+        return units + bound, None
+    return units + bound, lambda: units + _fraction_free_rank(rest)
+
+
+def _rank_rational(rows):
+    """Rank over Q; consumes ``rows``.  The bound of :func:`q_rank_bound`,
+    finished fraction-free when it is not known to be exact."""
+    bound, finish = q_rank_bound(rows)
+    return finish() if finish else bound
 
 
 def _rank_mod_p(rows, p):

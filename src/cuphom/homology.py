@@ -4,7 +4,9 @@ The two-periodic homology is reported through its even and odd parts; the
 common rank h is an integer for rank >= 1 and 1/2 by convention for rank 0
 (rational homology spheres).  Every boundary map arrives as the sparse rows
 of :func:`cuphom.cup_complex.boundary_rows`: the integral groups take one
-Smith normal form per map, the field invariants one rank per map.
+Smith normal form per map, the field invariants one rank per map.  Over Q
+those ranks start as lower bounds modulo a fixed prime, and the chain
+complex itself certifies most of them (:func:`_q_ranks`).
 """
 
 import math
@@ -13,7 +15,8 @@ from fractions import Fraction
 from math import comb
 
 from .cup_complex import boundary_rows, composites
-from .exact_linalg import is_prime, rank_over_field, smith_normal_form, _divisibility_chain
+from .exact_linalg import (is_prime, q_rank_bound, rank_over_field, smith_normal_form,
+                           _divisibility_chain)
 from .forms import FormError
 from .report import CheckReport
 
@@ -103,13 +106,51 @@ def common_dim(dims):
     return Fraction(even)
 
 
+def _q_ranks(f):
+    """Rank over Q of each boundary map d_k, k = 3..b, as a dict keyed by k.
+
+    :func:`cuphom.exact_linalg.q_rank_bound` gives each map a lower bound
+    L_k <= r_k = rank_Q(d_k), exact unless the map is left open.  The
+    complex certifies an open map: if the bounded homology is zero at its
+    target or at its source,
+
+        C(b, k-3) - L_{k-3} - L_k = 0   or   C(b, k) - L_k - L_{k+3} = 0
+
+    (L = 0 for a map that does not exist), then r_k = L_k.  Proof:
+    d_k o d_{k+3} = 0 puts the image of d_{k+3} inside the kernel of d_k,
+    so r_k + r_{k+3} <= C(b, k), and likewise r_{k-3} + r_k <= C(b, k-3);
+    with every L <= r, a zero on either side forces r_k = L_k.  This is the
+    universal-coefficients inequality dim_Q H <= dim_{F_p} H at zero, and
+    it relies on d o d = 0, which :func:`cup_homology` checks on every pair
+    of maps.  Only the maps it leaves open are finished fraction-free.  Any
+    lower bounds will do, so a map finished earlier takes part with its
+    exact rank.
+    """
+    b = f.rank
+    ranks, open_maps = {}, {}
+    for k in range(3, b + 1):
+        ranks[k], finish = q_rank_bound(boundary_rows(f, k))
+        if finish:
+            open_maps[k] = finish
+    for k, finish in open_maps.items():
+        if (comb(b, k - 3) - ranks.get(k - 3, 0) - ranks[k]
+                and comb(b, k) - ranks[k] - ranks.get(k + 3, 0)):
+            ranks[k] = finish()
+    return ranks
+
+
 def _degree_dims(f, characteristic):
     """Homology dimension over Q (characteristic 0) or F_p in each degree k = 0..b:
-    C(b, k) - rank(d_k) - rank(d_{k+3}), with one rank per boundary map."""
+    C(b, k) - rank(d_k) - rank(d_{k+3}), with one rank per boundary map (over Q
+    from :func:`_q_ranks`)."""
     b = f.rank
+    if characteristic == 0:
+        ranks = _q_ranks(f)
+    else:
+        ranks = {k: rank_over_field(boundary_rows(f, k, characteristic), characteristic)
+                 for k in range(3, b + 1)}
     dims = [comb(b, k) for k in range(b + 1)]
-    for k in range(3, b + 1):
-        r = rank_over_field(boundary_rows(f, k, characteristic), characteristic)
+    for k, r in ranks.items():
         dims[k] -= r  # only ker d_k survives at degree k
         dims[k - 3] -= r  # im d_k is divided out at degree k - 3
     return dims

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -6,10 +7,11 @@ import pytest
 from conftest import random_form, seeded
 
 from cuphom.cup_complex import boundary_rows
+from cuphom.exact_linalg import BOUND_PRIME, _eliminate_units, _fraction_free_rank
 from cuphom.forms import (FormError, ThreeForm, connected_sum, negate, permute_indices,
                           surface_circle, torus3, trivial)
-from cuphom.homology import (AbelianGroup, cup_homology, direct_sum, h_mod_p,
-                             h_rank, k_p, mod_p_degree_dims, uct_check)
+from cuphom.homology import (AbelianGroup, _degree_dims, _q_ranks, cup_homology, direct_sum,
+                             h_mod_p, h_rank, k_p, mod_p_degree_dims, uct_check)
 from cuphom.oracles import field_homology_oracle
 
 
@@ -270,3 +272,108 @@ def test_h_invariance_under_relabel_and_negation():
         rng.shuffle(perm)
         assert h_rank(permute_indices(f, perm)) == h_rank(f)
         assert h_rank(negate(f)) == h_rank(f)
+
+
+# 123 + 145 + 167 + 246 - 257 - 347 - 356: its F_2 homology is larger than its rational one.
+G2 = ThreeForm.from_coeffs(7, {(1, 2, 3): 1, (1, 4, 5): 1, (1, 6, 7): 1, (2, 4, 6): 1,
+                               (2, 5, 7): -1, (3, 4, 7): -1, (3, 5, 6): -1})
+
+
+def _dense_or_sparse_form(rng, b, coeff_max, keep):
+    return ThreeForm.from_coeffs(b, {t: rng.randint(-coeff_max, coeff_max)
+                                     for t in combinations(range(1, b + 1), 3)
+                                     if rng.random() < keep})
+
+
+def _count_calls(monkeypatch, module, name, seen):
+    real = getattr(module, name)
+
+    def counted(*args):
+        seen[name] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_certified_q_ranks_match_the_fraction_free_path(monkeypatch):
+    # Every map's rank, certified or finished, against the unit phase plus
+    # the fraction-free loop on the whole residual (the path before bounds).
+    import cuphom.exact_linalg as el
+
+    rng = seeded(1111)
+    forms = [surface_circle(g) for g in range(1, 7)]
+    forms += [_dense_or_sparse_form(rng, rng.randint(3, 9), coeff_max, keep)
+              for coeff_max in (1, 3, 9) for keep in (0.3, 1.0) for _ in range(5)]
+    seen = {"_rank_mod_p": 0, "_fraction_free_rank": 0}
+    _count_calls(monkeypatch, el, "_rank_mod_p", seen)
+    _count_calls(monkeypatch, el, "_fraction_free_rank", seen)
+    bounded = left_open = finished = 0
+    for f in forms:
+        seen.update(dict.fromkeys(seen, 0))
+        ranks = _q_ranks(f)
+        bounded += seen["_rank_mod_p"]  # one rank mod P per nonempty residual
+        finished += seen["_fraction_free_rank"]
+        for k in range(3, f.rank + 1):
+            units, rest = _eliminate_units(boundary_rows(f, k))
+            assert ranks[k] == units + _fraction_free_rank(rest), (f, k)
+            left_open += el.q_rank_bound(boundary_rows(f, k))[1] is not None
+    # Rule (a) certified some residuals and the others went through the
+    # fraction-free loop.  At b <= 9 rule (b) seldom leaves a map certified;
+    # the dense b = 10 form below checks it.
+    assert bounded > left_open >= finished > 0, (bounded, left_open, finished)
+
+
+def test_unlucky_prime_falls_back_to_the_exact_loop(monkeypatch):
+    # Multiples of the bound prime vanish modulo it, so every bound is 0 and
+    # no certificate fires: the fraction-free loop must decide every nonzero map.
+    import cuphom.exact_linalg as el
+
+    seen = {"_fraction_free_rank": 0}
+    _count_calls(monkeypatch, el, "_fraction_free_rank", seen)
+    assert h_rank(torus3(BOUND_PRIME)) == 3
+    assert seen["_fraction_free_rank"] == 1
+    rng = seeded(1212)
+    for _ in range(12):
+        f = random_form(rng, rng.randint(3, 7))
+        for c in (BOUND_PRIME, 2 * BOUND_PRIME):
+            g = ThreeForm.from_coeffs(f.rank, {(i, j, k): c * a for i, j, k, a in f.terms})
+            h = h_rank(f)
+            seen["_fraction_free_rank"] = 0
+            assert h_rank(g) == h
+            nonzero = sum(1 for k in range(3, f.rank + 1) if any(boundary_rows(f, k)))
+            assert seen["_fraction_free_rank"] == nonzero
+
+
+def test_q_rank_certificates_decide_without_the_exact_loop(monkeypatch):
+    import cuphom.exact_linalg as el
+    import cuphom.homology as hom
+
+    def no_loop(rows):
+        raise AssertionError("fraction-free loop ran")
+
+    left_open = []
+
+    def seen_bound(rows):
+        bound, finish = el.q_rank_bound(rows)
+        left_open.append(finish is not None)
+        return bound, finish
+
+    monkeypatch.setattr(el, "_fraction_free_rank", no_loop)
+    monkeypatch.setattr(hom, "q_rank_bound", seen_bound)
+    assert h_rank(G2) == 27
+    assert h_rank(surface_circle(5)) == 462
+    assert not any(left_open)  # the unit phase and rule (a) alone
+    f = _dense_or_sparse_form(seeded(3), 10, 9, 1.0)
+    assert _degree_dims(f, 0) == field_homology_oracle(f, 0)
+    assert any(left_open)  # rule (b) certified these maps
+
+
+def test_rank_duality_makes_degree_dims_palindromes():
+    # rank d_k = rank d_{b+3-k} over every field, which holds exactly when
+    # dim H_k = dim H_{b-k} in every degree (d_0, d_1, d_2 are zero).
+    rng = seeded(1313)
+    for _ in range(20):
+        f = random_form(rng, rng.randint(3, 9))
+        for p in (0, 2, 3):
+            dims = _degree_dims(f, p)
+            assert dims == dims[::-1], (p, dims)
