@@ -111,15 +111,18 @@ def _cmd_verify(args):
     except ValueError:
         raise FormError(f"--primes must be a comma-separated integer list, got {args.primes!r}")
     reports = [verify_d_squared(f)]
-    result = cup_homology(f)
-    if f.rank >= 1:
-        euler = CheckReport("h_ev = h_odd")
-        euler.add("h_ev = h_odd", result.h_ev == result.h_odd, f"{result.h_ev} vs {result.h_odd}")
-        reports += [euler, combinatorics.bounds_report(f, result.h)]
-    else:
-        print("rank 0: h = 1/2 by convention; bound checks skipped")
-    for p in primes:
-        reports.append(uct_check(result, mod_p_degree_dims(f, p), p))
+    # Homology of a broken complex is meaningless (cup_homology refuses it).
+    if reports[0].ok:
+        result = cup_homology(f)
+        if f.rank >= 1:
+            euler = CheckReport("h_ev = h_odd")
+            euler.add("h_ev = h_odd", result.h_ev == result.h_odd,
+                      f"{result.h_ev} vs {result.h_odd}")
+            reports += [euler, combinatorics.bounds_report(f, result.h)]
+        else:
+            print("rank 0: h = 1/2 by convention; bound checks skipped")
+        for p in primes:
+            reports.append(uct_check(result, mod_p_degree_dims(f, p), p))
     ok = True
     for rep in reports:
         for line in rep.lines():

@@ -7,6 +7,7 @@ recursion is checked against it.
 
 from math import comb
 
+from .forms import _support_pieces
 from .report import CheckReport
 
 
@@ -90,13 +91,13 @@ def verify_identities(b_max):
     return rep
 
 
-def bounds_report(f, h, factor_ranks=None):
+def bounds_report(f, h):
     """Test the invariant h of a form against the proven bounds.
 
-    ``factor_ranks`` records that f was assembled as a connected sum of
-    pieces with those first Betti numbers; when at least two pieces of
-    positive rank are not all odd, the reducible lower bound (4/3) L(b)
-    applies as well.
+    When the support of f splits into at least two blocks
+    (:func:`cuphom.forms._support_pieces`) that are not exactly two of odd
+    rank, f is a connected sum to which the reducible lower bound
+    (4/3) L(b) applies as well.
     """
     b = f.rank
     if b < 1:
@@ -110,12 +111,10 @@ def bounds_report(f, h, factor_ranks=None):
         rep.add("nonzero form: h <= 2^(b-1) - 2", h <= upper - 2, f"{h} <= {upper - 2}")
     else:
         rep.add("nonzero form: h <= 2^(b-1) - 2", True, "skipped (zero form or b < 4)")
-    # Two pieces must not both be odd; three or more positive-rank pieces can
-    # always be regrouped into two factors that are not both odd.
-    applicable = (factor_ranks is not None and len(factor_ranks) >= 2
-                  and all(r >= 1 for r in factor_ranks)
-                  and (len(factor_ranks) >= 3 or not all(r % 2 for r in factor_ranks)))
-    if applicable:
+    # Two pieces must not both be odd; three or more pieces (each of rank
+    # >= 1) can always be regrouped into two factors that are not both odd.
+    piece_ranks = [len(piece) for piece in _support_pieces(f)]
+    if len(piece_ranks) >= 3 or (len(piece_ranks) == 2 and not all(r % 2 for r in piece_ranks)):
         # 3h >= 4 L(b) avoids the fraction 4/3.
         rep.add("connected sum: h >= (4/3) L(b)", 3 * h >= 4 * L, f"3*{h} >= 4*{L}")
     else:

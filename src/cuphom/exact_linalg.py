@@ -16,11 +16,13 @@ turns it so that it is wide, densifies it, and takes one diagonal step at a
 time: a single scan for the smallest pivot, Euclid down the pivot column
 with row operations, then column operations on the pivot row alone (the
 pivot column is zero elsewhere by then), and the pivot row and column are
-cut out of the block.  The Q-rank first bounds the block from below by its
-rank modulo the fixed prime :data:`BOUND_PRIME` (:func:`q_rank_bound`) and
-eliminates it fraction-free on the sparse rows only when that bound is not
-known to be exact.  Ranks over F_p do not use the unit phase, so the checks
-that compare them with Smith normal form stay independent of it.
+cut out of the block.  The Q-rank has one entry point, :func:`q_rank_bound`:
+it bounds the block from below by its rank modulo the fixed prime
+:data:`BOUND_PRIME` and hands back a finisher that eliminates it
+fraction-free on the sparse rows, for the caller to run only when the
+bound is not known to be exact (:func:`cuphom.homology._q_ranks` decides).
+Ranks over F_p (:func:`rank_over_field`) do not use the unit phase, so the
+checks that compare them with Smith normal form stay independent of it.
 """
 
 from heapq import heapify, heappop, heappush
@@ -332,13 +334,6 @@ def q_rank_bound(rows):
     return units + bound, lambda: units + _fraction_free_rank(rest)
 
 
-def _rank_rational(rows):
-    """Rank over Q; consumes ``rows``.  The bound of :func:`q_rank_bound`,
-    finished fraction-free when it is not known to be exact."""
-    bound, finish = q_rank_bound(rows)
-    return finish() if finish else bound
-
-
 def _rank_mod_p(rows, p):
     """Rank over F_p of sparse rows with entries in 1..p-1; consumes ``rows``."""
     rows = [r for r in rows if r]
@@ -371,12 +366,10 @@ def _rank_mod_p(rows, p):
 
 
 def rank_over_field(rows, characteristic):
-    """Rank of sparse rows over Q (characteristic 0) or over F_p (characteristic p).
+    """Rank over F_p, p = ``characteristic`` a prime, of sparse rows with entries in 1..p-1.
 
-    The rows are consumed; over F_p their entries must already lie in 1..p-1.
+    The rows are consumed.  Ranks over Q go through :func:`q_rank_bound`.
     """
-    if characteristic and not is_prime(characteristic):
-        raise ValueError(f"characteristic must be 0 or prime, got {characteristic}")
-    if characteristic == 0:
-        return _rank_rational(rows)
+    if not is_prime(characteristic):
+        raise ValueError(f"characteristic must be prime, got {characteristic}")
     return _rank_mod_p(rows, characteristic)

@@ -187,6 +187,32 @@ def connected_sum(f1, f2):
     return ThreeForm(b1 + f2.rank, f1.terms + shifted)
 
 
+def _support_pieces(form):
+    """Partition 1..rank into triple-connected components plus isolated indices.
+
+    These are the blocks of the finest connected-sum splitting that the
+    support shows: up to relabeling, the form is the block sum
+    (:func:`connected_sum`) of its restrictions to them.
+    """
+    parent = list(range(form.rank + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i, j, k, _ in form.terms:
+        for other in (j, k):
+            ri, ro = find(i), find(other)
+            if ri != ro:
+                parent[ro] = ri
+    pieces = {}
+    for idx in range(1, form.rank + 1):
+        pieces.setdefault(find(idx), []).append(idx)
+    return sorted(pieces.values())
+
+
 def reduce_mod_p(f, p):
     """Coefficients reduced into [0, p); triples that vanish mod p are dropped."""
     if not is_prime(p):

@@ -19,7 +19,7 @@ from functools import lru_cache
 from itertools import product
 
 from .exterior import blade_basis
-from .forms import FormError, ThreeForm, _trusted_form, serialize_form
+from .forms import FormError, ThreeForm, _support_pieces, _trusted_form, serialize_form
 from .homology import h_rank
 from .report import CheckReport
 
@@ -245,27 +245,6 @@ def run_shard_to_checkpoint(b, coeff_max, shards, shard_index, out_path):
 
 # ---------------------------------------------------------------------------
 # Structural checks on scan output
-
-def _support_pieces(form):
-    """Partition 1..rank into triple-connected components plus isolated indices."""
-    parent = list(range(form.rank + 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, j, k, _ in form.terms:
-        for other in (j, k):
-            ri, ro = find(i), find(other)
-            if ri != ro:
-                parent[ro] = ri
-    pieces = {}
-    for idx in range(1, form.rank + 1):
-        pieces.setdefault(find(idx), []).append(idx)
-    return sorted(pieces.values())
-
 
 def _restrict(form, indices):
     """Induced form on a block of indices, relabeled to 1..len(indices)."""

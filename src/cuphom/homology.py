@@ -6,7 +6,9 @@ common rank h is an integer for rank >= 1 and 1/2 by convention for rank 0
 of :func:`cuphom.cup_complex.boundary_rows`: the integral groups take one
 Smith normal form per map, the field invariants one rank per map.  Over Q
 those ranks start as lower bounds modulo a fixed prime, and the chain
-complex itself certifies most of them (:func:`_q_ranks`).
+complex itself certifies most of them (:func:`_q_ranks`).  Whatever the
+ring, the per-degree dimensions come from the per-map ranks through the
+one formula of :func:`_dims`.
 """
 
 import math
@@ -83,10 +85,9 @@ def cup_homology(f):
         if nonzeros:
             raise RuntimeError(f"d_{k - 3} o d_{k} != 0: not a chain complex")
         snf[k] = smith_normal_form(rows)
-    groups = []
-    for k in range(b + 1):
-        out, into = snf.get(k, ()), snf.get(k + 3, ())
-        groups.append(AbelianGroup(comb(b, k) - len(out) - len(into), into[into.count(1):]))
+    free = _dims(b, {k: len(factors) for k, factors in snf.items()})
+    into = [snf.get(k + 3, ()) for k in range(b + 1)]  # factors of the map into degree k
+    groups = [AbelianGroup(n, t[t.count(1):]) for n, t in zip(free, into)]
     even = direct_sum(groups[0::2])
     odd = direct_sum(groups[1::2])
     return CupHomologyResult(rank=b, by_degree=tuple(groups), even=even, odd=odd,
@@ -106,13 +107,23 @@ def common_dim(dims):
     return Fraction(even)
 
 
+def _dims(b, ranks):
+    """Dimension C(b, k) - r_k - r_{k+3} in each degree k = 0..b, from a rank
+    r_k per boundary map d_k, given as a dict keyed by k (no key: rank 0)."""
+    dims = [comb(b, k) for k in range(b + 1)]
+    for k, r in ranks.items():
+        dims[k] -= r  # only ker d_k survives at degree k
+        dims[k - 3] -= r  # im d_k is divided out at degree k - 3
+    return dims
+
+
 def _q_ranks(f):
     """Rank over Q of each boundary map d_k, k = 3..b, as a dict keyed by k.
 
     :func:`cuphom.exact_linalg.q_rank_bound` gives each map a lower bound
     L_k <= r_k = rank_Q(d_k), exact unless the map is left open.  The
-    complex certifies an open map: if the bounded homology is zero at its
-    target or at its source,
+    complex certifies an open map: if the bounded homology (:func:`_dims`
+    of the L) is zero at its target or at its source,
 
         C(b, k-3) - L_{k-3} - L_k = 0   or   C(b, k) - L_k - L_{k+3} = 0
 
@@ -133,39 +144,23 @@ def _q_ranks(f):
         if finish:
             open_maps[k] = finish
     for k, finish in open_maps.items():
-        if (comb(b, k - 3) - ranks.get(k - 3, 0) - ranks[k]
-                and comb(b, k) - ranks[k] - ranks.get(k + 3, 0)):
+        dims = _dims(b, ranks)
+        if dims[k - 3] and dims[k]:
             ranks[k] = finish()
     return ranks
 
 
-def _degree_dims(f, characteristic):
-    """Homology dimension over Q (characteristic 0) or F_p in each degree k = 0..b:
-    C(b, k) - rank(d_k) - rank(d_{k+3}), with one rank per boundary map (over Q
-    from :func:`_q_ranks`)."""
-    b = f.rank
-    if characteristic == 0:
-        ranks = _q_ranks(f)
-    else:
-        ranks = {k: rank_over_field(boundary_rows(f, k, characteristic), characteristic)
-                 for k in range(3, b + 1)}
-    dims = [comb(b, k) for k in range(b + 1)]
-    for k, r in ranks.items():
-        dims[k] -= r  # only ker d_k survives at degree k
-        dims[k - 3] -= r  # im d_k is divided out at degree k - 3
-    return dims
-
-
 def h_rank(f):
     """The invariant h as an exact rational, from Q-ranks alone (no torsion)."""
-    return common_dim(_degree_dims(f, 0))
+    return common_dim(_dims(f.rank, _q_ranks(f)))
 
 
 def mod_p_degree_dims(f, p):
     """F_p dimension of the mod-p homology in each exterior degree."""
     if not is_prime(p):
         raise FormError(f"{p} is not prime")
-    return _degree_dims(f, p)
+    return _dims(f.rank, {k: rank_over_field(boundary_rows(f, k, p), p)
+                          for k in range(3, f.rank + 1)})
 
 
 def h_mod_p(f, p):

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from cuphom.exterior import blade_basis
 from cuphom.forms import ThreeForm
 
@@ -20,3 +22,19 @@ def random_form(rng, b, coeff_max=9):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+@pytest.fixture
+def broken_d6(monkeypatch):
+    """Double row 0 of every d_6 that cup_complex builds, so that d_3 o d_6 != 0."""
+    import cuphom.cup_complex as cc
+
+    real = cc.boundary_rows
+
+    def doubled_first_row(f, k, p=0):
+        rows = real(f, k, p)
+        if k == 6:
+            rows[0] = {c: 2 * v for c, v in rows[0].items()}
+        return rows
+
+    monkeypatch.setattr(cc, "boundary_rows", doubled_first_row)

@@ -221,8 +221,8 @@ def test_each_map_eliminated_once_per_ring(tmp_path, capsys, monkeypatch):
 
     f = surface_circle(3)
     path = write_form(tmp_path / "sc3.json", f)
-    snf_seen, rank_seen = [], []
-    real_snf, real_rank = hom.smith_normal_form, hom.rank_over_field
+    snf_seen, rank_seen, q_seen = [], [], []
+    real_snf, real_rank, real_q = hom.smith_normal_form, hom.rank_over_field, hom.q_rank_bound
 
     def counted_snf(rows):
         snf_seen.append(rows)
@@ -232,8 +232,13 @@ def test_each_map_eliminated_once_per_ring(tmp_path, capsys, monkeypatch):
         rank_seen.append((characteristic, [dict(r) for r in rows]))
         return real_rank(rows, characteristic)
 
+    def counted_q(rows):
+        q_seen.append([dict(r) for r in rows])
+        return real_q(rows)
+
     monkeypatch.setattr(hom, "smith_normal_form", counted_snf)
     monkeypatch.setattr(hom, "rank_over_field", counted_rank)
+    monkeypatch.setattr(hom, "q_rank_bound", counted_q)
 
     def expect_ranks(primes):
         return sorted(((p, boundary_rows(f, k, p)) for p in primes for k in range(3, 8)),
@@ -244,13 +249,45 @@ def test_each_map_eliminated_once_per_ring(tmp_path, capsys, monkeypatch):
     assert sorted(snf_seen, key=repr) == sorted((boundary_rows(f, k) for k in range(3, 8)),
                                                 key=repr)
     assert sorted(rank_seen, key=repr) == expect_ranks((2, 3))
+    assert q_seen == []
 
     snf_seen.clear()
     rank_seen.clear()
     assert main(["compute", path, "--prime", "2"]) == 0
     assert capsys.readouterr().out.endswith("h_2 = 36\n")
-    assert snf_seen == []
+    assert snf_seen == [] and q_seen == []
     assert sorted(rank_seen, key=repr) == expect_ranks((2,))
+
+    rank_seen.clear()
+    assert main(["h", path]) == 0
+    assert capsys.readouterr().out == "h = 35\n"
+    assert snf_seen == [] and rank_seen == []
+    assert sorted(q_seen, key=repr) == sorted((boundary_rows(f, k) for k in range(3, 8)),
+                                              key=repr)
+
+
+def test_verify_reports_a_broken_complex(tmp_path, capsys, monkeypatch, broken_d6):
+    def no_homology(f):
+        raise AssertionError("verify computed homology of a broken complex")
+
+    monkeypatch.setattr("cuphom.cli.cup_homology", no_homology)
+    path = write_form(tmp_path / "f.json", ThreeForm(6, ((1, 2, 3, 1), (4, 5, 6, 1))))
+    assert main(["verify", path, "--primes", "2"]) == 1
+    out = capsys.readouterr().out
+    assert "[d-squared on rank 6] FAIL d_3 o d_6 = 0" in out
+    assert out.endswith("verify: FAIL\n")
+
+
+def test_sum_then_verify_applies_the_connected_sum_bound(tmp_path, capsys):
+    # T^3 # (S^1 x S^2)^2: the support splits as (3, 1, 1), and h = 12 = (4/3) L(5).
+    t, s, out = (str(tmp_path / name) for name in ("t.json", "s.json", "sum.json"))
+    assert main(["builtin", "torus3", "--n", "1", "-o", t]) == 0
+    assert main(["builtin", "trivial", "--b", "2", "-o", s]) == 0
+    assert main(["sum", t, s, "-o", out]) == 0
+    assert main(["verify", out]) == 0
+    printed = capsys.readouterr().out
+    assert "3*12 >= 4*9" in printed
+    assert printed.endswith("verify: PASS\n")
 
 
 @pytest.mark.parametrize("sidecar", ['{"b": 3, "coeff_max": 1, "shards": 2}', "[1, 2]",

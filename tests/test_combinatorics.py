@@ -47,6 +47,8 @@ def test_bounds_report_surface():
     assert rep.ok
     names = [item.name for item in rep.items]
     assert any("L(5)" in n for n in names)
+    irred = [item for item in rep.items if "4/3" in item.name]
+    assert irred and "skipped" in irred[0].detail  # one block: not a connected sum
 
 
 def test_bounds_report_trivial_skips_nonzero_branch():
@@ -59,15 +61,17 @@ def test_bounds_report_trivial_skips_nonzero_branch():
 def test_bounds_report_connected_sum_equality_case():
     # T^3 # (S^1 x S^2) # (S^1 x S^2): h = 12 = (4/3) L(5) exactly.
     f = connected_sum(connected_sum(torus3(1), trivial(1)), trivial(1))
-    rep = bounds_report(f, 12, factor_ranks=(3, 1, 1))
+    rep = bounds_report(f, 12)
     assert rep.ok
     irred = [item for item in rep.items if "4/3" in item.name]
     assert irred and "skipped" not in irred[0].detail
+    # The pieces come from the support, so a value below (4/3) L(5) fails.
+    assert [item.name for item in bounds_report(f, 11).failures()] == [irred[0].name]
 
 
 def test_bounds_report_two_odd_factors_not_applicable():
     f = connected_sum(torus3(1), torus3(1))
-    rep = bounds_report(f, 18, factor_ranks=(3, 3))
+    rep = bounds_report(f, 18)
     irred = [item for item in rep.items if "4/3" in item.name]
     assert irred and "skipped" in irred[0].detail
 

@@ -7,8 +7,8 @@ from conftest import random_form, seeded
 
 from cuphom.cup_complex import boundary_rows
 from cuphom.exact_linalg import (_dense_snf, _divisibility_chain, _eliminate_units,
-                                 _round_div, is_prime, rank_over_field, smith_normal_form,
-                                 sparse_product)
+                                 _round_div, is_prime, q_rank_bound, rank_over_field,
+                                 smith_normal_form, sparse_product)
 from cuphom.exterior import blade_basis
 from cuphom.forms import ThreeForm, surface_circle, torus3
 from cuphom.oracles import _dense_rank_char0
@@ -23,6 +23,16 @@ def _reduced(rows, p):
 def M(dense, p=0):
     """Sparse rows of a dense matrix, reduced mod p when p > 0."""
     return _reduced([dict(enumerate(row)) for row in dense], p)
+
+
+def q_rank(rows):
+    """Rank over Q: the bound of q_rank_bound, finished when it is left open."""
+    bound, finish = q_rank_bound(rows)
+    if finish is None:
+        return bound
+    rank = finish()
+    assert bound <= rank
+    return rank
 
 
 def test_snf_basic():
@@ -53,22 +63,22 @@ def test_snf_empty_shapes():
 
 def test_rank_over_field_basic():
     assert rank_over_field(M([[2]], 2), 2) == 0
-    assert rank_over_field(M([[2]]), 0) == 1
-    assert rank_over_field(M([[1, 1], [1, 1]]), 0) == 1
+    assert q_rank(M([[2]])) == 1
+    assert q_rank(M([[1, 1], [1, 1]])) == 1
     assert rank_over_field(M([[1, 1], [1, 1]], 5), 5) == 1
     assert rank_over_field(boundary_rows(torus3(6), 3, 3), 3) == 0
     assert rank_over_field(boundary_rows(torus3(6), 3, 5), 5) == 1
     # Sparse {column: value} rows, as the compiled boundary maps give them.
-    assert rank_over_field([{0: 1, 1: 1}, {}, {0: 1, 1: 1}], 0) == 1
-    assert rank_over_field([{0: 2, 1: 4}, {1: 3}], 0) == 2
+    assert q_rank([{0: 1, 1: 1}, {}, {0: 1, 1: 1}]) == 1
+    assert q_rank([{0: 2, 1: 4}, {1: 3}]) == 2
     assert rank_over_field([{0: 1, 1: 2}, {0: 2, 1: 1}], 3) == 1
 
 
 def test_rank_rejects_composite_characteristic():
-    with pytest.raises(ValueError):
-        rank_over_field(M([[1]]), 4)
-    with pytest.raises(ValueError):
-        rank_over_field(M([[1]]), 1)
+    # Over Q the rank goes through q_rank_bound; characteristic 0 is refused.
+    for characteristic in (0, 1, 4):
+        with pytest.raises(ValueError):
+            rank_over_field(M([[1]]), characteristic)
 
 
 def test_is_prime():
@@ -98,7 +108,7 @@ def test_field_rank_consistent_with_snf():
             b = M(_random_dense(rng, inner, cols, 6))
             m = sparse_product(a, b)
         snf = smith_normal_form(m)
-        assert rank_over_field(_reduced(m, 0), 0) == len(snf)
+        assert q_rank(_reduced(m, 0)) == len(snf)
         for p in (2, 3, 5, 7, 97):
             expected = sum(1 for d in snf if d % p)
             assert rank_over_field(_reduced(m, p), p) == expected
@@ -533,5 +543,5 @@ def test_q_rank_matches_bareiss_when_a_residual_is_left():
             continue
         n = 1 + max((j for r in rows for j in r), default=0)
         dense = [[r.get(j, 0) for j in range(n)] for r in rows]
-        assert rank_over_field([dict(r) for r in rows], 0) == _dense_rank_char0(dense)
+        assert q_rank([dict(r) for r in rows]) == _dense_rank_char0(dense)
         checked += 1
