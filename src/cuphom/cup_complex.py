@@ -11,13 +11,19 @@ an entry table grouped by triple, and every map is filled from it: a form
 only supplies the values of its nonzero triples.  :func:`boundary_rows` is
 the one builder; ranks, Smith normal form, the d∘d check and the text dumps
 all take its ``{column: value}`` rows.
+
+Blade complements (the Hodge star) pair d_k with d_{b+3-k}: the second is a
+signed, permuted transpose of the first, so the two share their rank over
+every field and their invariant factors.  :func:`dual_degree` certifies
+this on the entry tables, once per pair, before homology copies a result
+across a pair.
 """
 
 from array import array
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import comb
-from operator import itemgetter
+from operator import add, itemgetter, mul
 
 from .exact_linalg import sparse_product
 from .exterior import blade_basis
@@ -79,6 +85,51 @@ def _entry_table(b, k):
     return rows, cols, starts
 
 
+def _sorted_keys(table, base, row_step, col_step):
+    """Sorted ``base(h) + row_step * row + col_step * col`` over the entries of a
+    table, h the half-run holding the entry (2s: +mu(t), 2s + 1: -mu(t))."""
+    rows, cols, starts = table
+    bases = chain.from_iterable(repeat(base(h), starts[h + 1] - starts[h])
+                                for h in range(len(starts) - 1))
+    return sorted(map(add, bases, map(add, map(mul, rows, repeat(row_step)),
+                                      map(mul, cols, repeat(col_step)))))
+
+
+def _check_duality(b, k, table, dual):
+    """Raise unless ``dual`` is the signed transpose of ``table`` under complements.
+
+    ``table`` and ``dual`` are entry tables (see :func:`_entry_table`) of d_k
+    and d_{b+3-k}.  Complementing reverses the lexicographic order of blades,
+    so the entry of d_k at (row, col) for the triple t = (i, j, m) must sit in
+    the run of t in d_{b+3-k} at the reversed indices (col^c, row^c), with
+    sign (-1)^(i+j+m) times its own.  That is the sign (-1)^(k+1) sigma(row)
+    sigma(col), sigma(B) the sign of the shuffle (B, B^c): the sums of ``col``
+    and ``row`` differ by i + j + m, and the terms in k cancel.  Both tables
+    become integer keys (half-run, row, column) in the coordinates of d_k;
+    equal sorted keys are a bijection between the runs that keeps the rule.
+    """
+    n_cols = comb(b, k)
+    span = comb(b, k - 3) * n_cols
+    flips = [sum(t) % 2 for t in blade_basis(b, 3)]  # per slot: + and - trade places
+    mine = _sorted_keys(table, lambda h: h * span, n_cols, 1)
+    theirs = _sorted_keys(dual, lambda h: ((h ^ flips[h >> 1]) + 1) * span - 1, -1, -n_cols)
+    if mine != theirs:
+        raise RuntimeError(f"d_{b + 3 - k} is not the signed transpose of d_{k} at rank {b}")
+
+
+@lru_cache(maxsize=None)
+def dual_degree(b, k):
+    """b + 3 - k, the degree of the map dual to d_k, once the pair is certified.
+
+    The first call for a pair compiles both entry tables and checks them
+    (:func:`_check_duality`); a mismatch raises, and nothing falls back.
+    The self-dual middle map needs no check.
+    """
+    if 2 * k != b + 3:
+        _check_duality(b, k, _entry_table(b, k), _entry_table(b, b + 3 - k))
+    return b + 3 - k
+
+
 def _check_degree(b, k):
     if k < 0 or k > b:
         raise ValueError(f"degree {k} out of range 0..{b}")
@@ -112,16 +163,18 @@ def boundary_rows(f, k, p=0):
     return target
 
 
-def composites(f):
-    """Yield (k, rows of d_k, nonzero (row, col) entries of d_{k-3} o d_k) for k >= 3.
+def composites(f, top=None):
+    """Yield (k, rows of d_k, nonzero (row, col) entries of d_{k-3} o d_k) for 3 <= k <= top.
 
-    The entries are None where no map leaves degree k - 3 (k < 6).  Maps
-    come subcomplex by subcomplex (degree mod 3), each built once, and at
-    most two are held at a time; callers must not modify the rows.
+    ``top`` is capped at the rank, its default.  The entries are None where
+    no map leaves degree k - 3 (k < 6).  Maps come subcomplex by subcomplex
+    (degree mod 3), each built once, and at most two are held at a time;
+    callers must not modify the rows.
     """
+    top = f.rank if top is None else min(top, f.rank)
     for residue in range(3):
         prev = None
-        for k in range(residue + 3, f.rank + 1, 3):
+        for k in range(residue + 3, top + 1, 3):
             cur = boundary_rows(f, k)
             bad = None
             if prev is not None:

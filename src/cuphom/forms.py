@@ -30,7 +30,8 @@ class ThreeForm:
     """Sparse alternating 3-form on a rank-b free abelian group.
 
     ``terms`` is a lex-sorted tuple of (i, j, k, a) with 1 <= i < j < k <= b
-    and a != 0.
+    and a != 0; terms given in another order, as lists or by an iterator
+    are stored so.
     """
 
     rank: int
@@ -41,7 +42,7 @@ class ThreeForm:
             raise FormError(f"rank must be a nonnegative integer, got {self.rank!r}")
         if self.rank > MAX_RANK:
             raise FormError(f"rank {self.rank} exceeds the supported maximum {MAX_RANK}")
-        seen = set()
+        seen, terms = set(), []
         for term in self.terms:
             if (len(term) != 4
                     or not all(isinstance(x, int) and not isinstance(x, bool) for x in term)):
@@ -56,8 +57,8 @@ class ThreeForm:
             if (i, j, k) in seen:
                 raise FormError(f"duplicate triple ({i}, {j}, {k})")
             seen.add((i, j, k))
-        if list(self.terms) != sorted(self.terms):
-            object.__setattr__(self, "terms", tuple(sorted(self.terms)))
+            terms.append((i, j, k, a))
+        object.__setattr__(self, "terms", tuple(sorted(terms)))
 
     @classmethod
     def from_coeffs(cls, rank, coeffs):

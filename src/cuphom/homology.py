@@ -3,12 +3,14 @@
 The two-periodic homology is reported through its even and odd parts; the
 common rank h is an integer for rank >= 1 and 1/2 by convention for rank 0
 (rational homology spheres).  Every boundary map arrives as the sparse rows
-of :func:`cuphom.cup_complex.boundary_rows`: the integral groups take one
-Smith normal form per map, the field invariants one rank per map.  Over Q
-those ranks start as lower bounds modulo a fixed prime, and the chain
-complex itself certifies most of them (:func:`_q_ranks`).  Whatever the
-ring, the per-degree dimensions come from the per-map ranks through the
-one formula of :func:`_dims`.
+of :func:`cuphom.cup_complex.boundary_rows`.  Only the kept half of the maps,
+d_k with k <= (b+3)/2, is eliminated: the integral groups take one Smith
+normal form per kept map, the field invariants one rank, and each dual map
+d_{b+3-k}, a certified signed transpose of d_k, takes its partner's result
+(:func:`_with_duals`).  Over Q those ranks start as lower bounds modulo a
+fixed prime, and the chain complex itself certifies most of them
+(:func:`_q_ranks`).  Whatever the ring, the per-degree dimensions come
+from the per-map ranks through the one formula of :func:`_dims`.
 """
 
 import math
@@ -16,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .cup_complex import boundary_rows, composites
+from .cup_complex import boundary_rows, composites, dual_degree
 from .exact_linalg import (is_prime, q_rank_bound, rank_over_field, smith_normal_form,
                            _divisibility_chain)
 from .forms import FormError
@@ -72,19 +74,23 @@ class CupHomologyResult:
 def cup_homology(f):
     """Full integral homology, split by exterior degree and by parity.
 
-    Each boundary map is built and eliminated once: its Smith normal form
-    gives both its rank (where it leaves a degree) and the torsion it cuts
-    out (where it enters one).  The invariant factors above 1 are the tail
-    of a divisibility chain, so they are the torsion as they stand.  Every
-    adjacent pair of maps is checked to compose to zero; a nonzero composite
-    is a hard error, since the complex itself is broken.
+    Each kept map d_k, k <= (b+3)/2, is built and eliminated once: its Smith
+    normal form gives both its rank (where it leaves a degree) and the
+    torsion it cuts out (where it enters one), and its dual d_{b+3-k} takes
+    the same factors.  The invariant factors above 1 are the tail of a
+    divisibility chain, so they are the torsion as they stand.  Each
+    adjacent pair of maps with top k <= (b+6)/2 is checked to compose to
+    zero; every other pair is the transpose of one of these.  A nonzero
+    composite is a hard error, since the complex itself is broken.
     """
     b = f.rank
     snf = {}
-    for k, rows, nonzeros in composites(f):
+    for k, rows, nonzeros in composites(f, (b + 6) // 2):
         if nonzeros:
             raise RuntimeError(f"d_{k - 3} o d_{k} != 0: not a chain complex")
-        snf[k] = smith_normal_form(rows)
+        if 2 * k <= b + 3:
+            snf[k] = smith_normal_form(rows)
+    snf = _with_duals(b, snf)
     free = _dims(b, {k: len(factors) for k, factors in snf.items()})
     into = [snf.get(k + 3, ()) for k in range(b + 1)]  # factors of the map into degree k
     groups = [AbelianGroup(n, t[t.count(1):]) for n, t in zip(free, into)]
@@ -117,6 +123,18 @@ def _dims(b, ranks):
     return dims
 
 
+def _with_duals(b, kept):
+    """Per-map values for k = 3..b from those of the kept half, k <= (b+3)/2.
+
+    d_{b+3-k} is a signed, permuted transpose of d_k
+    (:func:`cuphom.cup_complex.dual_degree` certifies it), so the two have
+    the same rank over every field and the same invariant factors.  A zero
+    value (rank 0, no factors) takes no certificate: then no term of the
+    form survives, and the dual map is zero for the same reason.
+    """
+    return {**kept, **{(dual_degree(b, k) if v else b + 3 - k): v for k, v in kept.items()}}
+
+
 def _q_ranks(f):
     """Rank over Q of each boundary map d_k, k = 3..b, as a dict keyed by k.
 
@@ -132,22 +150,25 @@ def _q_ranks(f):
     so r_k + r_{k+3} <= C(b, k), and likewise r_{k-3} + r_k <= C(b, k-3);
     with every L <= r, a zero on either side forces r_k = L_k.  This is the
     universal-coefficients inequality dim_Q H <= dim_{F_p} H at zero, and
-    it relies on d o d = 0, which :func:`cup_homology` checks on every pair
-    of maps.  Only the maps it leaves open are finished fraction-free.  Any
+    it relies on d o d = 0, which :func:`cup_homology` checks (half the
+    pairs directly, the rest as their transposes).  Only the maps it leaves open are finished fraction-free.  Any
     lower bounds will do, so a map finished earlier takes part with its
-    exact rank.
+    exact rank.  Only the kept half is bounded and finished; each dual map
+    takes its partner's value (:func:`_with_duals`), so L_{b+3-k} = L_k, the
+    rule sees the same zeros for both maps of a pair, and an open pair is
+    finished once.
     """
     b = f.rank
     ranks, open_maps = {}, {}
-    for k in range(3, b + 1):
+    for k in range(3, (b + 3) // 2 + 1):
         ranks[k], finish = q_rank_bound(boundary_rows(f, k))
         if finish:
             open_maps[k] = finish
     for k, finish in open_maps.items():
-        dims = _dims(b, ranks)
+        dims = _dims(b, _with_duals(b, ranks))
         if dims[k - 3] and dims[k]:
             ranks[k] = finish()
-    return ranks
+    return _with_duals(b, ranks)
 
 
 def h_rank(f):
@@ -159,8 +180,9 @@ def mod_p_degree_dims(f, p):
     """F_p dimension of the mod-p homology in each exterior degree."""
     if not is_prime(p):
         raise FormError(f"{p} is not prime")
-    return _dims(f.rank, {k: rank_over_field(boundary_rows(f, k, p), p)
-                          for k in range(3, f.rank + 1)})
+    b = f.rank
+    return _dims(b, _with_duals(b, {k: rank_over_field(boundary_rows(f, k, p), p)
+                                    for k in range(3, (b + 3) // 2 + 1)}))
 
 
 def h_mod_p(f, p):

@@ -5,8 +5,8 @@ import pytest
 
 from cuphom.cli import main
 from cuphom.cup_complex import boundary_rows
-from cuphom.forms import (ThreeForm, parse_form, serialize_form, surface_circle, torus3,
-                          trivial)
+from cuphom.forms import (ThreeForm, mapping_torus, parse_form, serialize_form, surface_circle,
+                          torus3, trivial)
 from cuphom.geography import geography_scan
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -217,10 +217,10 @@ def test_cli_output_matches_golden(tmp_path, capsys):
 
 
 def test_each_map_eliminated_once_per_ring(tmp_path, capsys, monkeypatch):
+    # Only the kept half d_k, k <= (b+3)/2, is eliminated, once per ring and
+    # command; each dual d_{b+3-k} takes its partner's result.  Odd and even b.
     import cuphom.homology as hom
 
-    f = surface_circle(3)
-    path = write_form(tmp_path / "sc3.json", f)
     snf_seen, rank_seen, q_seen = [], [], []
     real_snf, real_rank, real_q = hom.smith_normal_form, hom.rank_over_field, hom.q_rank_bound
 
@@ -240,30 +240,34 @@ def test_each_map_eliminated_once_per_ring(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(hom, "rank_over_field", counted_rank)
     monkeypatch.setattr(hom, "q_rank_bound", counted_q)
 
-    def expect_ranks(primes):
-        return sorted(((p, boundary_rows(f, k, p)) for p in primes for k in range(3, 8)),
-                      key=repr)
+    for f, h, h_2 in ((surface_circle(3), 35, 36), (mapping_torus(3, 1), 70, 72)):
+        path = write_form(tmp_path / "f.json", f)
+        kept = range(3, (f.rank + 3) // 2 + 1)
 
-    assert main(["verify", path, "--primes", "2,3"]) == 0
-    assert "verify: PASS" in capsys.readouterr().out
-    assert sorted(snf_seen, key=repr) == sorted((boundary_rows(f, k) for k in range(3, 8)),
-                                                key=repr)
-    assert sorted(rank_seen, key=repr) == expect_ranks((2, 3))
-    assert q_seen == []
+        def expect_ranks(primes):
+            return sorted(((p, boundary_rows(f, k, p)) for p in primes for k in kept), key=repr)
 
-    snf_seen.clear()
-    rank_seen.clear()
-    assert main(["compute", path, "--prime", "2"]) == 0
-    assert capsys.readouterr().out.endswith("h_2 = 36\n")
-    assert snf_seen == [] and q_seen == []
-    assert sorted(rank_seen, key=repr) == expect_ranks((2,))
+        snf_seen.clear()
+        rank_seen.clear()
+        q_seen.clear()
+        assert main(["verify", path, "--primes", "2,3"]) == 0
+        assert "verify: PASS" in capsys.readouterr().out
+        assert sorted(snf_seen, key=repr) == sorted((boundary_rows(f, k) for k in kept), key=repr)
+        assert sorted(rank_seen, key=repr) == expect_ranks((2, 3))
+        assert q_seen == []
 
-    rank_seen.clear()
-    assert main(["h", path]) == 0
-    assert capsys.readouterr().out == "h = 35\n"
-    assert snf_seen == [] and rank_seen == []
-    assert sorted(q_seen, key=repr) == sorted((boundary_rows(f, k) for k in range(3, 8)),
-                                              key=repr)
+        snf_seen.clear()
+        rank_seen.clear()
+        assert main(["compute", path, "--prime", "2"]) == 0
+        assert capsys.readouterr().out.endswith(f"h_2 = {h_2}\n")
+        assert snf_seen == [] and q_seen == []
+        assert sorted(rank_seen, key=repr) == expect_ranks((2,))
+
+        rank_seen.clear()
+        assert main(["h", path]) == 0
+        assert capsys.readouterr().out == f"h = {h}\n"
+        assert snf_seen == [] and rank_seen == []
+        assert sorted(q_seen, key=repr) == sorted((boundary_rows(f, k) for k in kept), key=repr)
 
 
 def test_verify_reports_a_broken_complex(tmp_path, capsys, monkeypatch, broken_d6):

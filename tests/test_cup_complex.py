@@ -1,11 +1,15 @@
+from array import array
 from math import comb
+from time import perf_counter
 
 import pytest
 
 from conftest import random_form, seeded
 
-from cuphom.cup_complex import (boundary_rows, composites, dump_boundary_matrices,
-                                render_matrix_grid, verify_d_squared)
+from cuphom.cup_complex import (_check_duality, _entry_table, boundary_rows, composites,
+                                dual_degree, dump_boundary_matrices, render_matrix_grid,
+                                verify_d_squared)
+from cuphom.exterior import blade_basis
 from cuphom.forms import ThreeForm, surface_circle, torus3, trivial
 from cuphom.oracles import contraction_matrix
 
@@ -92,6 +96,113 @@ def test_compiled_maps_match_contraction():
                 reduced = [[v % p if p else v for v in row] for row in dense]
                 want = [{c: v for c, v in enumerate(row) if v} for row in reduced]
                 assert boundary_rows(f, k, p) == want
+
+
+def _shuffle_sign(b, blade):
+    """Sign of the permutation (blade, complement) of 1..b."""
+    return (-1) ** sum(x - i for i, x in enumerate(blade, 1))
+
+
+def test_dual_map_is_signed_transpose_of_contraction():
+    # The fact behind the certificate, entry by entry on the oracle's matrices:
+    # d_{b+3-k}[col^c, row^c] = (-1)^(k+1) sigma(row) sigma(col) d_k[row, col].
+    rng = seeded(2027)
+    for _ in range(12):
+        f = random_form(rng, rng.randint(3, 8), coeff_max=4)
+        b = f.rank
+        for k in range(3, b + 1):
+            dense, dual = contraction_matrix(f, k), contraction_matrix(f, b + 3 - k)
+            rows, cols = blade_basis(b, k - 3), blade_basis(b, k)
+            dual_rows = {blade: i for i, blade in enumerate(blade_basis(b, b - k))}
+            dual_cols = {blade: i for i, blade in enumerate(blade_basis(b, b + 3 - k))}
+            for r, row in enumerate(rows):
+                row_c = tuple(x for x in range(1, b + 1) if x not in row)
+                for c, col in enumerate(cols):
+                    col_c = tuple(x for x in range(1, b + 1) if x not in col)
+                    sign = (-1) ** (k + 1) * _shuffle_sign(b, row) * _shuffle_sign(b, col)
+                    assert dual[dual_rows[col_c]][dual_cols[row_c]] == sign * dense[r][c]
+
+
+def _moved(table, h, h2):
+    """A copy of an entry table with the last entry of half-run h moved to the end of h2.
+
+    Half-run 2s holds the +mu(t) entries of the triple in slot s, 2s + 1 its
+    -mu(t) entries; h2 = h ^ 1 flips the entry's sign, h2 = h +- 2 moves it to
+    another triple's run with its sign.
+    """
+    rows, cols, starts = (array(a.typecode, a) for a in table)
+    e = starts[h + 1] - 1
+    if h2 > h:
+        end = starts[h2 + 1]
+        for a in (rows, cols):
+            a[e:end] = a[e + 1:end] + a[e:e + 1]
+        for i in range(h + 1, h2 + 1):
+            starts[i] -= 1
+    else:
+        start = starts[h2 + 1]
+        for a in (rows, cols):
+            a[start:e + 1] = a[e:e + 1] + a[start:e]
+        for i in range(h2 + 1, h + 1):
+            starts[i] += 1
+    return rows, cols, starts
+
+
+def _assert_mutants_raise(b, k):
+    """A flipped sign, and an entry moved to another triple's run, in a copy of d_k."""
+    table, dual = _entry_table(b, k), _entry_table(b, b + 3 - k)
+    starts = table[2]
+    h = next(h for h in range(len(starts) - 1) if starts[h] < starts[h + 1])
+    mutants = [_moved(table, h, h ^ 1)]
+    if len(starts) > 3:  # b = 3 has a single triple, so no other run
+        mutants.append(_moved(table, h, h + 2 if h + 2 < len(starts) - 1 else h - 2))
+    for mutant in mutants:
+        with pytest.raises(RuntimeError, match="signed transpose"):
+            _check_duality(b, k, mutant, dual)
+
+
+@pytest.mark.parametrize("b", [*range(3, 12), 13])
+def test_duality_certificate_catches_flipped_signs_and_moved_entries(b):
+    for k in range(3, b + 1):
+        _check_duality(b, k, _entry_table(b, k), _entry_table(b, b + 3 - k))
+        _assert_mutants_raise(b, k)
+
+
+def test_duality_certificate_at_the_rank_cap():
+    # Rank 16 holds the largest tables.  Certifying every pair must cost less
+    # than compiling the tables it reads.
+    start = perf_counter()
+    for k in range(3, 17):
+        _entry_table(16, k)
+    compiled = perf_counter() - start
+    start = perf_counter()
+    for k in range(3, 10):
+        _check_duality(16, k, _entry_table(16, k), _entry_table(16, 19 - k))
+    certified = perf_counter() - start
+    assert certified < compiled, (certified, compiled)
+    for k in range(3, 17):
+        _assert_mutants_raise(16, k)
+
+
+def test_failed_certificate_stops_homology(monkeypatch):
+    # A mismatch raises out of the homology commands: no map is eliminated
+    # twice in its place.
+    import cuphom.cup_complex as cc
+    from cuphom.homology import cup_homology, h_rank, mod_p_degree_dims
+
+    real = cc._entry_table
+
+    def flipped_d5(b, k):
+        return _moved(real(b, k), 0, 1) if (b, k) == (6, 5) else real(b, k)
+
+    monkeypatch.setattr(cc, "_entry_table", flipped_d5)
+    dual_degree.cache_clear()
+    f = ThreeForm(6, ((1, 2, 3, 1), (4, 5, 6, 1)))
+    try:
+        for compute in (cup_homology, h_rank, lambda f: mod_p_degree_dims(f, 2)):
+            with pytest.raises(RuntimeError, match="d_5 is not the signed transpose of d_4"):
+                compute(f)
+    finally:
+        dual_degree.cache_clear()
 
 
 def test_mod3_partition():

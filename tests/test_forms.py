@@ -9,6 +9,7 @@ from cuphom.forms import (FormError, ThreeForm, _trusted_form, builtin_family, c
                           mapping_torus, negate, parse_form, permute_indices,
                           reduce_mod_p, serialize_form, surface_circle, torus3,
                           trivial)
+from cuphom.geography import witness_key
 
 
 def test_parse_basic():
@@ -171,6 +172,19 @@ def test_direct_construction_rejects_booleans():
         ThreeForm(3, ((1, 2, 3, True),))
     with pytest.raises(FormError, match="quadruple"):
         ThreeForm(4, ((1, 2, 4, 1), (1, True, 3, 2)))
+
+
+def test_list_terms_are_stored_as_sorted_tuples():
+    # A list of terms, terms as lists, or an iterator of terms must give the
+    # form the tuples give.
+    want = ThreeForm(4, ((1, 2, 3, 1), (2, 3, 4, -2)))
+    for terms in ([(2, 3, 4, -2), (1, 2, 3, 1)], ([1, 2, 3, 1], [2, 3, 4, -2]),
+                  iter(want.terms)):
+        f = ThreeForm(4, terms)
+        assert f == want and f.terms == want.terms
+        assert hash(f) == hash(want)
+        assert witness_key(f) == witness_key(want)
+        assert parse_form(serialize_form(f)) == f
 
 
 @pytest.mark.parametrize("b", [3, 4])

@@ -8,8 +8,8 @@ from conftest import random_form, seeded
 
 from cuphom.cup_complex import boundary_rows
 from cuphom.exact_linalg import BOUND_PRIME, _eliminate_units, _fraction_free_rank
-from cuphom.forms import (FormError, ThreeForm, connected_sum, negate, permute_indices,
-                          surface_circle, torus3, trivial)
+from cuphom.forms import (FormError, ThreeForm, connected_sum, mapping_torus, negate,
+                          permute_indices, surface_circle, torus3, trivial)
 from cuphom.homology import (AbelianGroup, _dims, _q_ranks, cup_homology, direct_sum,
                              h_mod_p, h_rank, k_p, mod_p_degree_dims, uct_check)
 from cuphom.oracles import field_homology_oracle
@@ -44,14 +44,14 @@ def test_homology_group_trivial_form():
 
 
 def test_cup_homology_eliminates_each_map_once(monkeypatch):
+    # Each kept map d_k, k <= (b+3)/2, reaches Smith normal form exactly once
+    # and no other map does: each dual d_{b+3-k} takes its partner's factors.
     import cuphom.homology as hom
 
-    f = surface_circle(3)
-    unseen = [boundary_rows(f, k) for k in range(3, 8)]
     real_snf = hom.smith_normal_form
 
     def counted_snf(rows):
-        unseen.remove(rows)  # raises if a map comes twice or is not a d_k
+        unseen.remove(rows)  # raises if a map comes twice or is not a kept d_k
         return real_snf(rows)
 
     def no_rank(*args):
@@ -59,8 +59,10 @@ def test_cup_homology_eliminates_each_map_once(monkeypatch):
 
     monkeypatch.setattr(hom, "smith_normal_form", counted_snf)
     monkeypatch.setattr(hom, "rank_over_field", no_rank)
-    assert cup_homology(f).h == 35
-    assert unseen == []
+    for f, h in ((surface_circle(3), 35), (mapping_torus(3, 1), 70)):  # b = 7 and b = 8
+        unseen = [boundary_rows(f, k) for k in range(3, (f.rank + 3) // 2 + 1)]
+        assert cup_homology(f).h == h
+        assert unseen == []
 
 
 def test_cup_homology_rejects_nonchain(broken_d6):
@@ -316,7 +318,8 @@ def test_certified_q_ranks_match_the_fraction_free_path(monkeypatch):
 
 def test_unlucky_prime_falls_back_to_the_exact_loop(monkeypatch):
     # Multiples of the bound prime vanish modulo it, so every bound is 0 and
-    # no certificate fires: the fraction-free loop must decide every nonzero map.
+    # no certificate fires: the fraction-free loop must decide every nonzero
+    # map of the kept half.
     import cuphom.exact_linalg as el
 
     seen = {"_fraction_free_rank": 0}
@@ -331,7 +334,9 @@ def test_unlucky_prime_falls_back_to_the_exact_loop(monkeypatch):
             h = h_rank(f)
             seen["_fraction_free_rank"] = 0
             assert h_rank(g) == h
-            nonzero = sum(1 for k in range(3, f.rank + 1) if any(boundary_rows(f, k)))
+            # One loop per nonzero kept map; its dual takes the same rank.
+            kept = range(3, (f.rank + 3) // 2 + 1)
+            nonzero = sum(1 for k in kept if any(boundary_rows(f, k)))
             assert seen["_fraction_free_rank"] == nonzero
 
 
@@ -361,10 +366,12 @@ def test_q_rank_certificates_decide_without_the_exact_loop(monkeypatch):
 
 def test_rank_duality_makes_degree_dims_palindromes():
     # rank d_k = rank d_{b+3-k} over every field, which holds exactly when
-    # dim H_k = dim H_{b-k} in every degree (d_0, d_1, d_2 are zero).
+    # dim H_k = dim H_{b-k} in every degree (d_0, d_1, d_2 are zero).  The
+    # pipeline copies each rank across its pair, so the oracle, which
+    # eliminates every map, decides.
     rng = seeded(1313)
     for _ in range(20):
         f = random_form(rng, rng.randint(3, 9))
         for p in (0, 2, 3):
             dims = _dims(f.rank, _q_ranks(f)) if p == 0 else mod_p_degree_dims(f, p)
-            assert dims == dims[::-1], (p, dims)
+            assert dims == field_homology_oracle(f, p) == dims[::-1], (p, dims)
