@@ -26,7 +26,11 @@ def euler_sum(b, j):
 
 
 def lower_bound_L(b):
-    """Sharp lower bound for h at rank b: 3^((b-1)/2) odd, 2*3^(b/2-1) even."""
+    """Lower bound L(b) <= h at rank b: 3^((b-1)/2) odd, 2*3^(b/2-1) even.
+
+    Attained at b = 3, 4, 6, 7 and 8, but not at b = 5, where the forms of
+    the three orbits give h = 10, 12 and 16 > L(5) = 9.
+    """
     if b < 1:
         raise ValueError(f"rank must be >= 1, got {b}")
     if b % 2:

@@ -21,27 +21,52 @@ it bounds the block from below by its rank modulo the fixed prime
 :data:`BOUND_PRIME` and hands back a finisher that eliminates it
 fraction-free on the sparse rows, for the caller to run only when the
 bound is not known to be exact (:func:`cuphom.homology._q_ranks` decides).
-Ranks over F_p (:func:`rank_over_field`) do not use the unit phase, so the
-checks that compare them with Smith normal form stay independent of it.
+
+Every rank over F_p, that bound's included, runs one kernel,
+:func:`_rank_mod_p`: XOR bit rows over F_2; for odd p sparse pivoting,
+then, once the live block is dense, rows packed into S-bit slots of one
+integer, with cap·(p-1)^2 + (p-1) < 2^S for a block of cap pivots.  It
+shares no code with the unit phase or Smith normal form, so the checks
+that compare F_p ranks with Smith normal form stay independent.
 """
 
+from array import array
 from heapq import heapify, heappop, heappush
-from math import gcd, isqrt
+from math import gcd
+from sys import byteorder
 
-# The largest prime below 2^15: every product of two residues fits in one
-# CPython digit.  It affects only speed, never a rank (see q_rank_bound).
+# The largest prime below 2^15.  Its packed slots in _rank_mod_p fit in 64
+# bits: cap·(p-1)^2 + (p-1) < 2^64 for any block of fewer than 2^34 rows.
+# It affects only speed, never a rank (see q_rank_bound).
 BOUND_PRIME = 32749
+
+# Miller-Rabin with the first 13 prime bases, 2 to 41, decides every n below
+# this bound, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 2017).  Larger candidates are refused, not guessed at.
+PRIME_LIMIT = 3317044064679887385961981
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
+    """Whether the integer n is prime, exactly, by deterministic Miller-Rabin.
+
+    Raises ``ValueError`` for n >= :data:`PRIME_LIMIT` (about 3.3·10^24),
+    where these bases no longer decide primality.
+    """
+    if n >= PRIME_LIMIT:
+        raise ValueError(f"{n} is too large: primality is decided only below {PRIME_LIMIT}")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d·2^s with d odd
+    for a in bases:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
             return False
     return True
 
@@ -335,15 +360,46 @@ def q_rank_bound(rows):
 
 
 def _rank_mod_p(rows, p):
-    """Rank over F_p of sparse rows with entries in 1..p-1; consumes ``rows``."""
+    """Rank over F_p of sparse rows with entries in 1..p-1; consumes ``rows``.
+
+    p = 2: each row is an int of bits, reduced into an XOR basis keyed by
+    lowest set bit.  Odd p: shortest-row sparse pivoting until the shortest
+    live row holds at least 16 entries and an eighth of the columns not yet
+    pivoted; then each live row is packed into one integer, a slot per
+    column, and the rows are taken in order.  A packed pivot row is reduced
+    slot-wise mod p and normalised (pivot 1), then each row whose pivot
+    slot is v mod p takes one bigint update ``y += (p - v)·prow``.  Slots
+    are nonnegative and only grow: a row starts below p and takes at most
+    cap updates of at most (p-1)^2 per slot, cap = min(rows, columns) of
+    the packed block.  So no slot carries into the next, for any prime, as
+    its width S bits (the least of 1, 2, 4, 8, 16, ... bytes) satisfies
+
+        cap·(p-1)^2 + (p-1) < 2^S.
+    """
     rows = [r for r in rows if r]
+    if p == 2:
+        basis = {}
+        for r in rows:
+            x = sum(map((1).__lshift__, r))  # bit j for each column j
+            while x:
+                low = x & -x
+                if low not in basis:
+                    basis[low] = x
+                    break
+                x ^= basis[low]
+        return len(basis)
+    free = len({j for r in rows for j in r})  # columns not yet pivoted
     rank = 0
-    while rows:
-        pi = min(range(len(rows)), key=lambda i: len(rows[i]))
-        prow = rows.pop(pi)
+    while len(rows) > 1:
+        lens = list(map(len, rows))
+        short = min(lens)
+        if short >= 16 and 8 * short >= free:
+            break
+        prow = rows.pop(lens.index(short))
         pc, pv = min(prow.items())
         inv = pow(pv, -1, p)
         rank += 1
+        free -= 1
         nxt = []
         for row in rows:
             rv = row.pop(pc, None)
@@ -362,6 +418,41 @@ def _rank_mod_p(rows, p):
             if row:
                 nxt.append(row)
         rows = nxt
+    if len(rows) < 2:
+        return rank + len(rows)
+    at = {j: i for i, j in enumerate(sorted({j for r in rows for j in r}))}
+    n = len(at)
+    bits = (min(len(rows), n) * (p - 1) ** 2 + p - 1).bit_length()  # of the slot bound
+    width = 1 << ((bits - 1) // 8).bit_length()  # bytes per slot
+    if width <= 8:
+        code = "BHIQ"[width.bit_length() - 1]
+        unpack = lambda b: memoryview(b).cast(code)
+        pack = lambda slots: array(code, slots).tobytes()
+    else:
+        unpack = lambda b: [int.from_bytes(b[i:i + width], byteorder)
+                            for i in range(0, len(b), width)]
+        pack = lambda slots: b"".join(v.to_bytes(width, byteorder) for v in slots)
+    packed = []
+    for r in reversed(rows):
+        slots = [0] * n
+        for j, v in r.items():
+            slots[at[j]] = v
+        packed.append(int.from_bytes(pack(slots), byteorder))
+    mask = (1 << 8 * width) - 1
+    top = rank + n
+    while packed and rank < top:
+        slots = [v % p for v in unpack(packed.pop().to_bytes(width * n, byteorder))]
+        c = next((i for i, v in enumerate(slots) if v), None)
+        if c is None:
+            continue
+        inv = pow(slots[c], -1, p)
+        prow = int.from_bytes(pack([v * inv % p for v in slots]), byteorder)
+        rank += 1
+        shift = 8 * width * c
+        for i, y in enumerate(packed):
+            v = (y >> shift & mask) % p
+            if v:
+                packed[i] = y + (p - v) * prow
     return rank
 
 

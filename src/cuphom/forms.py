@@ -214,10 +214,19 @@ def _support_pieces(form):
     return sorted(pieces.values())
 
 
+def require_prime(p):
+    """Refuse with FormError a p that is not prime or too large to decide."""
+    try:
+        prime = is_prime(p)
+    except ValueError as e:
+        raise FormError(str(e)) from None
+    if not prime:
+        raise FormError(f"{p} is not prime")
+
+
 def reduce_mod_p(f, p):
     """Coefficients reduced into [0, p); triples that vanish mod p are dropped."""
-    if not is_prime(p):
-        raise FormError(f"{p} is not prime")
+    require_prime(p)
     return ThreeForm.from_coeffs(f.rank, {t: a % p for (t, a) in f.coeffs.items()})
 
 

@@ -19,9 +19,9 @@ from fractions import Fraction
 from math import comb
 
 from .cup_complex import boundary_rows, composites, dual_degree
-from .exact_linalg import (is_prime, q_rank_bound, rank_over_field, smith_normal_form,
+from .exact_linalg import (q_rank_bound, rank_over_field, smith_normal_form,
                            _divisibility_chain)
-from .forms import FormError
+from .forms import FormError, require_prime
 from .report import CheckReport
 
 
@@ -178,8 +178,7 @@ def h_rank(f):
 
 def mod_p_degree_dims(f, p):
     """F_p dimension of the mod-p homology in each exterior degree."""
-    if not is_prime(p):
-        raise FormError(f"{p} is not prime")
+    require_prime(p)
     b = f.rank
     return _dims(b, _with_duals(b, {k: rank_over_field(boundary_rows(f, k, p), p)
                                     for k in range(3, (b + 3) // 2 + 1)}))

@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -323,3 +324,14 @@ def test_non_prime_exit2(tmp_path, capsys, argv, p):
         path = write_form(tmp_path / "f.json", form)
         assert main([argv[0], path, argv[1], argv[2].format(p=p)]) == 2
         assert "not prime" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["compute", "--prime", "{p}"], ["verify", "--primes", "2,{p}"]])
+def test_prime_too_large_to_decide_exit2(tmp_path, capsys, argv):
+    # 2^89 - 1 is prime, but above the range where is_prime is exact: refused
+    # at once, where trial division would never have returned.
+    path = write_form(tmp_path / "f.json", torus3(4))
+    start = time.perf_counter()
+    assert main([argv[0], path, argv[1], argv[2].format(p=2 ** 89 - 1)]) == 2
+    assert time.perf_counter() - start < 1
+    assert "too large" in capsys.readouterr().err

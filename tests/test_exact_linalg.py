@@ -1,17 +1,20 @@
+import time
 from itertools import combinations
-from math import gcd
+from math import comb, gcd, isqrt
 
 import pytest
 
 from conftest import random_form, seeded
 
 from cuphom.cup_complex import boundary_rows
-from cuphom.exact_linalg import (_dense_snf, _divisibility_chain, _eliminate_units,
-                                 _round_div, is_prime, q_rank_bound, rank_over_field,
-                                 smith_normal_form, sparse_product)
+from cuphom.exact_linalg import (BOUND_PRIME, PRIME_LIMIT, _dense_snf, _divisibility_chain,
+                                 _eliminate_units, _rank_mod_p, _round_div, is_prime,
+                                 q_rank_bound, rank_over_field, smith_normal_form,
+                                 sparse_product)
 from cuphom.exterior import blade_basis
-from cuphom.forms import ThreeForm, surface_circle, torus3
-from cuphom.oracles import _dense_rank_char0
+from cuphom.forms import FormError, ThreeForm, surface_circle, torus3
+from cuphom.homology import h_mod_p
+from cuphom.oracles import _dense_rank_char0, _dense_rank_modp
 
 
 def _reduced(rows, p):
@@ -86,6 +89,38 @@ def test_is_prime():
     composites = [-3, 0, 1, 4, 6, 9, 91, 100]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(c) for c in composites)
+
+
+def test_is_prime_matches_trial_division_up_to_10_to_the_5():
+    for n in range(-2, 10 ** 5 + 1):
+        assert is_prime(n) == (n > 1 and all(n % d for d in range(2, isqrt(n) + 1))), n
+
+
+def test_is_prime_on_strong_pseudoprimes_and_beyond_its_range():
+    # The least strong pseudoprimes to the prime bases up to 7, to 31 and to
+    # 37: each is caught only by a later base.  PRIME_LIMIT itself fools all
+    # 13 bases.  10^15 + 37 took a second by trial division.
+    def strong_liar(a, n):  # a^d = 1 or a^(d·2^i) = -1 mod n, n - 1 = d·2^s, i < s
+        s = ((n - 1) & (1 - n)).bit_length() - 1
+        d = (n - 1) >> s
+        return pow(a, d, n) == 1 or any(pow(a, d << i, n) == n - 1 for i in range(s))
+
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for n, fooled in ((3215031751, 4), (3825123056546413051, 11),
+                      (318665857834031151167461, 12), (PRIME_LIMIT, 13)):
+        assert all(strong_liar(a, n) for a in bases[:fooled]), n
+        assert n == PRIME_LIMIT or not is_prime(n), n
+    assert is_prime(10 ** 15 + 37) and is_prime(2 ** 61 - 1)
+    m89 = 2 ** 89 - 1  # a Mersenne prime above the decided range
+    start = time.perf_counter()
+    for n in (PRIME_LIMIT, m89):
+        with pytest.raises(ValueError, match="too large"):
+            is_prime(n)
+        with pytest.raises(ValueError, match="too large"):
+            rank_over_field(M([[1]]), n)
+        with pytest.raises(FormError, match="too large"):
+            h_mod_p(torus3(1), n)
+    assert time.perf_counter() - start < 1
 
 
 def _random_dense(rng, rows, cols, bound=50):
@@ -546,3 +581,119 @@ def test_q_rank_matches_bareiss_when_a_residual_is_left():
         dense = [[r.get(j, 0) for j in range(n)] for r in rows]
         assert q_rank([dict(r) for r in rows]) == _dense_rank_char0(dense)
         checked += 1
+
+
+def _count_packed(monkeypatch):
+    """A list of the typecodes of every ``array`` that _rank_mod_p builds: it
+    packs rows and pivot rows with ``array`` when a slot is at most 8 bytes."""
+    import cuphom.exact_linalg as el
+
+    packed = []
+    real = el.array
+
+    def counted(code, slots):
+        packed.append(code)
+        return real(code, slots)
+
+    monkeypatch.setattr(el, "array", counted)
+    return packed
+
+
+def _field_ranks_match_dense_oracle(f, primes, packed):
+    """Compare every map of ``f`` with the oracle; returns how many maps were packed."""
+    blocks = 0
+    for k in range(3, f.rank + 1):
+        rows = boundary_rows(f, k)
+        dense = [[r.get(j, 0) for j in range(comb(f.rank, k))] for r in rows]
+        for p in primes:
+            before = len(packed)
+            assert _rank_mod_p(_reduced(rows, p), p) == _dense_rank_modp(dense, p), (f, k, p)
+            blocks += len(packed) > before
+    return blocks
+
+
+def test_field_rank_matches_dense_oracle_on_acceptance_forms(monkeypatch):
+    # The forms of acceptance suites 2a, 2b, 2c and 2e, every map, over F_2,
+    # F_3, F_5 and modulo BOUND_PRIME: mostly sparse blocks, and a few
+    # hundred dense ones that the odd-p kernel packs.
+    packed = _count_packed(monkeypatch)
+    blocks = 0
+    for seed in (1001, 1002, 1003, 1005):
+        rng = seeded(seed)
+        for _ in range(500):
+            blocks += _field_ranks_match_dense_oracle(random_form(rng, rng.randint(1, 7)),
+                                                      (2, 3, 5, BOUND_PRIME), packed)
+    assert blocks > 300, blocks
+
+
+def test_field_rank_matches_dense_oracle_on_surface_circle_maps(monkeypatch):
+    # Sparse maps with torsion of orders 2 to 6: the sparse phase takes them whole.
+    packed = _count_packed(monkeypatch)
+    for g in range(1, 7):
+        assert _field_ranks_match_dense_oracle(surface_circle(g), (2, 3, 5, BOUND_PRIME),
+                                               packed) == 0
+
+
+def _slot_stress_rows(rng, n, p=3):
+    """Dense rows mod p, of rank n, on which the packed phase drives one slot
+    from p - 1 through n - 1 updates of (p-1)^2: the most a slot can take in
+    a block of cap = n pivots, as each pivot but one is on another column.
+
+    The kernel takes the packed rows in order and pivots each on its lowest
+    nonzero slot.  Row i < t = n - 1 reduces to r_i = e_i + (p-1) e_t plus
+    entries between, and is built as a multiple of r_i plus earlier r_j, so
+    every row is dense.  Row y = (sum of those r_i) + g e_t holds 1 in each
+    pivot column when its turn comes, so each of the t pivots adds
+    (p - 1)·r_i to it, which is (p-1)^2 in slot t.  The last row, built the
+    same way from e_t, closes the rank at n.
+    """
+    t = n - 1
+    r = [[0] * i + [1] + [rng.randrange(p) for _ in range(i + 1, t)] + [p - 1] for i in range(t)]
+    r.append([0] * t + [1])
+
+    def disguised(i):
+        scale = rng.randrange(1, p)
+        out = [scale * v for v in r[i]]
+        for prev in r[:i]:
+            c = rng.randrange(1, p)
+            out = [a + c * b for a, b in zip(out, prev)]
+        return out
+
+    y = [sum(col) for col in zip(*r[:t])]
+    y[t] = p - 1
+    rows = [disguised(i) for i in range(t)] + [y, disguised(t)]
+    return [{j: v % p for j, v in enumerate(row) if v % p} for row in rows]
+
+
+@pytest.mark.parametrize("n", [63, 65])
+def test_packed_slot_at_its_most_updates(monkeypatch, n):
+    # At p = 3 a block of cap pivots gets one-byte slots while
+    # 4·cap + 2 < 2^8, so up to cap = 63, where the driven slot ends at
+    # 2 + 4·62 = 250.  At cap = 65 it ends at 258 > 255, which only two-byte
+    # slots hold.
+    packed = _count_packed(monkeypatch)
+    rows = _slot_stress_rows(seeded(n), n)
+    assert min(map(len, rows)) >= max(16, n / 8)  # the packed phase takes the whole block
+    dense = [[r.get(j, 0) for j in range(n)] for r in rows]
+    assert _dense_rank_modp(dense, 3) == n
+    assert _rank_mod_p(rows, 3) == n
+    assert set(packed) == {"B" if n == 63 else "H"}
+
+
+def test_field_rank_with_slots_wider_than_64_bits():
+    # (p - 1)^2 > 2^64 at p = 4294967311, so every packed slot spans more
+    # than one machine word.
+    p = 4294967311
+    rng = seeded(4294)
+    deficient = 0
+    for _ in range(30):
+        m, n, inner = rng.randint(17, 40), rng.randint(17, 40), rng.randint(1, 40)
+        a = [[rng.randrange(p) for _ in range(inner)] for _ in range(m)]
+        b = [[rng.randrange(p) for _ in range(n)] for _ in range(inner)]
+        dense = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+        rank = _dense_rank_modp(dense, p)
+        assert rank_over_field(M(dense, p), p) == rank
+        deficient += rank < min(m, n)
+    f = ThreeForm(8, tuple((i, j, k, i * j + k) for i, j, k in combinations(range(1, 9), 3)))
+    assert h_mod_p(f, p) == 54 and h_mod_p(f, 3) == 56
+    assert deficient > 5, deficient
