@@ -50,15 +50,3 @@ def contract(coeffs, blade):
             del out[rest]
     return out
 
-
-def contract_chain(coeffs, chain):
-    """Linear extension of :func:`contract` to whole chains."""
-    out = {}
-    for blade, scale in chain.items():
-        for rest, a in contract(coeffs, blade).items():
-            c = out.get(rest, 0) + scale * a
-            if c:
-                out[rest] = c
-            else:
-                del out[rest]
-    return out

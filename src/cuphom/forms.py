@@ -230,27 +230,25 @@ def reduce_mod_p(f, p):
     return ThreeForm.from_coeffs(f.rank, {t: a % p for (t, a) in f.coeffs.items()})
 
 
-def negate(f):
-    return ThreeForm(f.rank, tuple((i, j, k, -a) for i, j, k, a in f.terms))
+def transform(f, M):
+    """Pull f back through the integer matrix M, which has one row per index of f.
 
-
-def permute_indices(f, perm):
-    """Relabel basis indices by a permutation of 1..rank.
-
-    Each triple is re-sorted and picks up the sign of that reordering, i.e.
-    the form transforms as an alternating tensor.
+    With n the common length of the rows, the result has rank n and
+    (M.f)_abc = sum over i < j < k of f_ijk * det M[{i, j, k}, {a, b, c}].
+    A matrix in GL(b, Z) gives an isomorphic cohomology ring, so the same
+    cup homology.  -I negates f, a permutation matrix relabels its indices,
+    and the 0/1 inclusion of a block of indices restricts f to that block.
     """
-    if sorted(perm) != list(range(1, f.rank + 1)):
-        raise FormError("perm must be a permutation of 1..rank")
+    if len(M) != f.rank or len({len(row) for row in M}) > 1:
+        raise FormError(f"M must have {f.rank} rows of one common length")
+    n = len(M[0]) if M else 0
     coeffs = {}
-    for (i, j, k), a in f.coeffs.items():
-        img = [perm[i - 1], perm[j - 1], perm[k - 1]]
-        sign = 1
-        # Three elements: bubble-sort parity.
-        for x in range(2):
-            for y in range(2 - x):
-                if img[y] > img[y + 1]:
-                    img[y], img[y + 1] = img[y + 1], img[y]
-                    sign = -sign
-        coeffs[tuple(img)] = sign * a
-    return ThreeForm.from_coeffs(f.rank, coeffs)
+    for i, j, k, a in f.terms:
+        r, s, t = M[i - 1], M[j - 1], M[k - 1]
+        for x, y, z in ((x, y, z) for z in range(n) for y in range(z) for x in range(y)):
+            det = (r[x] * (s[y] * t[z] - s[z] * t[y]) - r[y] * (s[x] * t[z] - s[z] * t[x])
+                   + r[z] * (s[x] * t[y] - s[y] * t[x]))
+            if det:
+                key = (x + 1, y + 1, z + 1)
+                coeffs[key] = coeffs.get(key, 0) + a * det
+    return ThreeForm.from_coeffs(n, coeffs)

@@ -19,7 +19,8 @@ from functools import lru_cache
 from itertools import product
 
 from .exterior import blade_basis
-from .forms import FormError, ThreeForm, _support_pieces, _trusted_form, serialize_form
+from .forms import (FormError, ThreeForm, _support_pieces, _trusted_form, serialize_form,
+                    transform)
 from .homology import h_rank
 from .report import CheckReport
 
@@ -246,16 +247,6 @@ def run_shard_to_checkpoint(b, coeff_max, shards, shard_index, out_path):
 # ---------------------------------------------------------------------------
 # Structural checks on scan output
 
-def _restrict(form, indices):
-    """Induced form on a block of indices, relabeled to 1..len(indices)."""
-    relabel = {idx: pos + 1 for pos, idx in enumerate(sorted(indices))}
-    coeffs = {}
-    for i, j, k, a in form.terms:
-        if i in relabel and j in relabel and k in relabel:
-            coeffs[(relabel[i], relabel[j], relabel[k])] = a
-    return ThreeForm.from_coeffs(len(indices), coeffs)
-
-
 def check_reducible_constraints(result):
     """Cross-check block-structured witnesses against the connected-sum law.
 
@@ -276,7 +267,8 @@ def check_reducible_constraints(result):
             continue
         predicted = 2 ** (len(pieces) - 1)
         for piece in pieces:
-            predicted *= int(h_rank(_restrict(witness, piece)))
+            inclusion = [[int(idx == p) for p in piece] for idx in range(1, witness.rank + 1)]
+            predicted *= int(h_rank(transform(witness, inclusion)))
         rep.add(f"h = {h}: block witness obeys the product law",
                 predicted == h, f"{len(pieces)} pieces predict {predicted}")
         if result.b == 5:

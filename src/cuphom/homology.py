@@ -150,13 +150,17 @@ def _q_ranks(f):
     so r_k + r_{k+3} <= C(b, k), and likewise r_{k-3} + r_k <= C(b, k-3);
     with every L <= r, a zero on either side forces r_k = L_k.  This is the
     universal-coefficients inequality dim_Q H <= dim_{F_p} H at zero, and
-    it relies on d o d = 0, which :func:`cup_homology` checks (half the
-    pairs directly, the rest as their transposes).  Only the maps it leaves open are finished fraction-free.  Any
-    lower bounds will do, so a map finished earlier takes part with its
-    exact rank.  Only the kept half is bounded and finished; each dual map
-    takes its partner's value (:func:`_with_duals`), so L_{b+3-k} = L_k, the
-    rule sees the same zeros for both maps of a pair, and an open pair is
-    finished once.
+    it relies on d o d = 0.  That holds for every form, since mu ^ mu = 0.
+    :func:`cup_homology` (half the pairs directly, the rest as their
+    transposes) and ``cuphom verify`` check it for each form they are
+    given; ``test_compiled_maps_match_contraction`` and
+    ``test_c2a_d_squared_zero`` check the compiled entry tables.  Only the
+    maps the rule leaves open are finished fraction-free.  Any lower bounds
+    will do, so a map finished earlier takes part with its exact rank.
+    Only the kept half is bounded and finished; each dual map takes its
+    partner's value (:func:`_with_duals`), so L_{b+3-k} = L_k, the rule sees
+    the same zeros for both maps of a pair, and an open pair is finished
+    once.
     """
     b = f.rank
     ranks, open_maps = {}, {}

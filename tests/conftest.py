@@ -24,6 +24,11 @@ def seeded(seed):
     return random.Random(seed)
 
 
+def signed_permutation(perm, sign=1):
+    """Matrix for forms.transform sending index i to sign times index perm[i - 1]."""
+    return [[sign * (p == c) for c in range(1, len(perm) + 1)] for p in perm]
+
+
 @pytest.fixture
 def broken_d6(monkeypatch):
     """Double row 0 of every d_6 that cup_complex builds, so that d_3 o d_6 != 0."""

@@ -2,7 +2,7 @@ from itertools import combinations
 
 from conftest import random_form, seeded
 
-from cuphom.exterior import blade_basis, contract, contract_chain
+from cuphom.exterior import blade_basis, contract
 
 
 def test_blade_basis_lex_order():
@@ -72,5 +72,8 @@ def test_double_contraction_vanishes_exhaustively():
             f = random_form(rng, b)
             for k in range(b + 1):
                 for blade in combinations(range(1, b + 1), k):
-                    once = contract(f.coeffs, blade)
-                    assert contract_chain(f.coeffs, once) == {}
+                    twice = {}
+                    for rest, a in contract(f.coeffs, blade).items():
+                        for rest2, a2 in contract(f.coeffs, rest).items():
+                            twice[rest2] = twice.get(rest2, 0) + a * a2
+                    assert not any(twice.values())

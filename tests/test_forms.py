@@ -2,13 +2,12 @@ from itertools import product
 
 import pytest
 
-from conftest import random_form, seeded
+from conftest import random_form, seeded, signed_permutation
 
 from cuphom.exterior import blade_basis
 from cuphom.forms import (FormError, ThreeForm, _trusted_form, builtin_family, connected_sum,
-                          mapping_torus, negate, parse_form, permute_indices,
-                          reduce_mod_p, serialize_form, surface_circle, torus3,
-                          trivial)
+                          mapping_torus, parse_form, reduce_mod_p, serialize_form,
+                          surface_circle, torus3, transform, trivial)
 from cuphom.geography import witness_key
 
 
@@ -142,16 +141,22 @@ def test_reduce_mod_p_range():
             assert g.rank == f.rank
 
 
-def test_negate_and_permute():
+def test_transform():
     f = surface_circle(2)
-    assert negate(f).terms == ((1, 2, 3, -1), (1, 4, 5, -1))
+    ident = signed_permutation([1, 2, 3, 4, 5])
+    assert transform(f, ident) == f
+    assert transform(f, signed_permutation([1, 2, 3, 4, 5], -1)).terms == (
+        (1, 2, 3, -1), (1, 4, 5, -1))
     # Swapping 2 and 3 reverses one triple, flipping its sign.
-    g = permute_indices(f, [1, 3, 2, 4, 5])
-    assert g.terms == ((1, 2, 3, -1), (1, 4, 5, 1))
-    ident = permute_indices(f, [1, 2, 3, 4, 5])
-    assert ident == f
+    swap = signed_permutation([1, 3, 2, 4, 5])
+    assert transform(f, swap).terms == ((1, 2, 3, -1), (1, 4, 5, 1))
+    # The inclusion of the block {1, 4, 5} keeps the one triple inside it.
+    inclusion = [[1, 0, 0], [0, 0, 0], [0, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert transform(f, inclusion) == ThreeForm(3, ((1, 2, 3, 1),))
     with pytest.raises(FormError):
-        permute_indices(f, [1, 1, 2, 3, 4])
+        transform(f, ident[:4])
+    with pytest.raises(FormError):
+        transform(f, ident[:4] + [[0, 0, 0, 1]])
 
 
 def test_direct_construction_validates():

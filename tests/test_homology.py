@@ -4,12 +4,12 @@ from math import comb
 
 import pytest
 
-from conftest import random_form, seeded
+from conftest import random_form, seeded, signed_permutation
 
 from cuphom.cup_complex import boundary_rows
 from cuphom.exact_linalg import BOUND_PRIME, _eliminate_units, _fraction_free_rank
-from cuphom.forms import (FormError, ThreeForm, connected_sum, mapping_torus, negate,
-                          permute_indices, surface_circle, torus3, trivial)
+from cuphom.forms import (FormError, ThreeForm, connected_sum, mapping_torus, surface_circle,
+                          torus3, transform, trivial)
 from cuphom.homology import (AbelianGroup, _dims, _q_ranks, cup_homology, direct_sum,
                              h_mod_p, h_rank, k_p, mod_p_degree_dims, uct_check)
 from cuphom.oracles import field_homology_oracle
@@ -263,13 +263,43 @@ def test_h_invariance_under_relabel_and_negation():
         f = random_form(rng, b)
         perm = list(range(1, b + 1))
         rng.shuffle(perm)
-        assert h_rank(permute_indices(f, perm)) == h_rank(f)
-        assert h_rank(negate(f)) == h_rank(f)
+        assert h_rank(transform(f, signed_permutation(perm))) == h_rank(f)
+        assert h_rank(transform(f, signed_permutation(range(1, b + 1), -1))) == h_rank(f)
 
 
 # 123 + 145 + 167 + 246 - 257 - 347 - 356: its F_2 homology is larger than its rational one.
 G2 = ThreeForm.from_coeffs(7, {(1, 2, 3): 1, (1, 4, 5): 1, (1, 6, 7): 1, (2, 4, 6): 1,
                                (2, 5, 7): -1, (3, 4, 7): -1, (3, 5, 6): -1})
+
+
+def _transvections(rng, b, count=6):
+    """Product of `count` random transvections e_i -> e_i + c e_j, c in {1, -1, 2, -2}."""
+    m = signed_permutation(range(1, b + 1))
+    for _ in range(count if b > 1 else 0):
+        i, j = rng.sample(range(b), 2)
+        c = rng.choice((1, -1, 2, -2))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+    return m
+
+
+def test_invariants_unchanged_by_unimodular_change_of_basis():
+    # A matrix in GL(b, Z) is an isomorphism of cohomology rings, so every
+    # integral group, every F_p dimension and h must survive it.  Transvections
+    # densify a form and grow its coefficients, which the torsion-heavy
+    # families turn into work for Smith normal form.
+    forms = [surface_circle(g) for g in (2, 3, 4)] + [mapping_torus(3, 1), G2]
+    for seed in (1001, 1002, 1005):  # the first forms of three acceptance suites
+        draw = seeded(seed)
+        forms += [random_form(draw, draw.randint(1, 7)) for _ in range(4)]
+    def invariants(f):
+        return cup_homology(f).by_degree, [mod_p_degree_dims(f, p) for p in (2, 3, 5)], h_rank(f)
+
+    rng = seeded(1717)
+    for f in forms:
+        expect = invariants(f)
+        for _ in range(3):
+            g = transform(f, _transvections(rng, f.rank))
+            assert invariants(g) == expect, (f, g)
 
 
 def _dense_or_sparse_form(rng, b, coeff_max, keep):
