@@ -16,7 +16,10 @@ Blade complements (the Hodge star) pair d_k with d_{b+3-k}: the second is a
 signed, permuted transpose of the first, so the two share their rank over
 every field and their invariant factors.  :func:`dual_degree` certifies
 this on the entry tables, once per pair, before homology copies a result
-across a pair.
+across a pair.  The middle map, 2k = b + 3, is its own dual and is
+certified against itself.  At b = 1 mod 4 the certified rule makes it
+skew-symmetric once each column is renamed to the row of its complement
+and signed; :func:`skew_rows` gives it in that form, for the Q-rank.
 """
 
 from array import array
@@ -123,11 +126,42 @@ def dual_degree(b, k):
 
     The first call for a pair compiles both entry tables and checks them
     (:func:`_check_duality`); a mismatch raises, and nothing falls back.
-    The self-dual middle map needs no check.
+    The self-dual middle map, 2k = b + 3, is checked against its own table:
+    d_k[col^c, row^c] = (-1)^(k+1) sigma(row) sigma(col) d_k[row, col] for
+    every entry, which :func:`_skew_table` relies on.
     """
-    if 2 * k != b + 3:
-        _check_duality(b, k, _entry_table(b, k), _entry_table(b, b + 3 - k))
+    table = _entry_table(b, k)
+    _check_duality(b, k, table, table if 2 * k == b + 3 else _entry_table(b, b + 3 - k))
     return b + 3 - k
+
+
+@lru_cache(maxsize=None)
+def _skew_table(b, k):
+    """Entry table of the middle map d_k, 2k = b + 3 with b = 1 mod 4, made skew.
+
+    Once :func:`dual_degree` has certified the table, column B is renamed to
+    the row index of its complement B^c (complementing reverses the order of
+    blades) and each entry is multiplied by sigma(B^c), the sign of the
+    shuffle (B^c, B), by moving it to the other half-run of its triple.  The
+    certified rule, with (-1)^(k+1) = -1 and sigma(B) = sigma(B^c) at these
+    b, then makes the rows a skew-symmetric square matrix.
+    """
+    dual_degree(b, k)
+    rows, cols, starts = _entry_table(b, k)
+    last = comb(b, k) - 1
+    odd = [sum(x - i for i, x in enumerate(blade, 1)) % 2 for blade in blade_basis(b, k - 3)]
+    skew = array("H"), array("H"), array("L", [0])
+    for s in range(0, len(starts) - 1, 2):
+        halves = [], []
+        for e in range(starts[s], starts[s + 2]):
+            c = last - cols[e]
+            halves[(e >= starts[s + 1]) ^ odd[c]].append((rows[e], c))
+        for half in halves:
+            for r, c in half:
+                skew[0].append(r)
+                skew[1].append(c)
+            skew[2].append(len(skew[0]))
+    return skew
 
 
 def _check_degree(b, k):
@@ -144,13 +178,28 @@ def boundary_rows(f, k, p=0):
     comes from exactly one triple, so nothing is summed.  When no term
     survives (mod p), the map is zero and the entry table is not built.
     """
+    return _filled(f, k, p, _entry_table)
+
+
+def skew_rows(f):
+    """The middle map d_k, 2k = b + 3, of a form of rank b = 1 mod 4, made skew.
+
+    Rows as :func:`boundary_rows` gives them; column B is renamed to the row
+    index of its complement and signed by sigma(B^c) (:func:`_skew_table`),
+    so the rows form a skew-symmetric square matrix with the rank of d_k.
+    """
+    return _filled(f, (f.rank + 3) // 2, 0, _skew_table)
+
+
+def _filled(f, k, p, table):
+    """Rows of d_k filled from ``table(b, k)``, which is built only for a nonzero map."""
     b = f.rank
     _check_degree(b, k)
     target = [{} for _ in blade_basis(b, k - 3)]
     terms = [t for t in f.terms if t[3] % p] if p else f.terms
     if k < 3 or not terms:
         return target
-    rows, cols, starts = _entry_table(b, k)
+    rows, cols, starts = table(b, k)
     slots = _triple_slots(b)
     for i, j, m, a in terms:
         plus, minus = (a % p, -a % p) if p else (a, -a)

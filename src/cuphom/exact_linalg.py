@@ -10,17 +10,22 @@ phase of Dumas, Saunders and Villard, "On efficient sparse integer matrix
 Smith normal form computations", J. Symbolic Comput. 2001).  Boundary maps
 have entries ±(form coefficients), so most pivots are units: these are
 eliminated on the sparse rows by :func:`_eliminate_units`, each giving an
-invariant factor 1 and one unit of rank.  Two finishers take the block left
-over, which has no unit entry.  Smith normal form (:func:`_dense_snf`)
-turns it so that it is wide, densifies it, and takes one diagonal step at a
-time: a single scan for the smallest pivot, Euclid down the pivot column
-with row operations, then column operations on the pivot row alone (the
-pivot column is zero elsewhere by then), and the pivot row and column are
-cut out of the block.  The Q-rank has one entry point, :func:`q_rank_bound`:
-it bounds the block from below by its rank modulo the fixed prime
-:data:`BOUND_PRIME` and hands back a finisher that eliminates it
-fraction-free on the sparse rows, for the caller to run only when the
-bound is not known to be exact (:func:`cuphom.homology._q_ranks` decides).
+invariant factor 1 and one unit of rank.  The block left over has no unit
+entry, and each of the two finishes it its own way.  Smith normal form
+(:func:`_dense_snf`) turns it so that it is wide, densifies it, and takes
+one diagonal step at a time: a single scan for the smallest pivot, Euclid
+down the pivot column with row operations, then column operations on the
+pivot row alone (the pivot column is zero elsewhere by then), and the
+pivot row and column are cut out of the block.  The Q-rank has one entry
+point, :func:`q_rank_bound`: it bounds the block from below by its rank
+modulo the fixed prime :data:`BOUND_PRIME` and hands back a finisher that
+eliminates it fraction-free, for the caller to run only when the bound is
+not known to be exact (:func:`cuphom.homology._q_ranks` decides).  The
+finisher works on the sparse rows (:func:`_fraction_free_rank`), except
+for a dense block of a skew-symmetric matrix: there the unit pivots come
+in mirrored pairs, so the block left is skew, and :func:`_pfaffian_rank`
+eliminates its upper triangle two ranks at a time, with 2×2 pivots and
+exact divisions.
 
 Every rank over F_p, that bound's included, runs one kernel,
 :func:`_rank_mod_p`: XOR bit rows over F_2; for odd p sparse pivoting,
@@ -187,7 +192,7 @@ def _has_unit(row):
     return 1 in values or -1 in values
 
 
-def _eliminate_units(rows):
+def _eliminate_units(rows, paired=False):
     """Eliminate unit pivots on sparse rows; returns (units eliminated, residual rows).
 
     While some entry is ±1, take the shortest row holding one (the lowest row
@@ -204,6 +209,13 @@ def _eliminate_units(rows):
     whose row has since been eliminated, changed length or lost its units is
     skipped when popped, and every changed row that holds a unit is pushed
     again.  ``rows`` is consumed.
+
+    ``paired`` is for a skew-symmetric matrix whose row i and column i carry
+    the same label i.  Each pivot (r, c) is then followed by its mirror
+    (c, r): row c is untouched, as its diagonal entry is zero, so its entry
+    at r is still the unit -a.  The two pivots leave the Schur complement
+    of the pair, which is skew again, and the residual rows, in order, are
+    labelled by the sorted columns they use.
     """
     live = {}
     heap = []
@@ -225,13 +237,20 @@ def _eliminate_units(rows):
             else:
                 col_rows[j] = {i}
     units = 0
-    while heap:
-        n, pi = heappop(heap)
-        prow = live.get(pi)
-        if prow is None or len(prow) != n or not _has_unit(prow):
-            continue
-        del live[pi]
-        pc = min((j for j, v in prow.items() if v in (1, -1)), key=lambda j: len(col_rows[j]))
+    mirror = None
+    while heap or mirror:
+        if mirror:
+            pi, pc = mirror
+            prow = live.pop(pi)
+        else:
+            n, pi = heappop(heap)
+            prow = live.get(pi)
+            if prow is None or len(prow) != n or not _has_unit(prow):
+                continue
+            del live[pi]
+            pc = min((j for j, v in prow.items() if v in (1, -1)),
+                     key=lambda j: len(col_rows[j]))
+        mirror = (pc, pi) if paired and not mirror else None
         pv = prow[pc]
         for j in prow:
             col_rows[j].discard(pi)
@@ -335,7 +354,59 @@ def _fraction_free_rank(rows):
     return rank + len(rows)
 
 
-def q_rank_bound(rows):
+def _pfaffian_rank(rows):
+    """Rank over Q of a nonempty skew-symmetric residual of the paired unit phase.
+
+    The rows are labelled by the sorted columns they use (see
+    :func:`_eliminate_units`).  Fraction-free Pfaffian elimination on the
+    dense strict upper triangle: with the pivot pair (a, b) and the previous
+    pivot P (1 at first), every other entry becomes
+
+        (M_ab M_ij - M_ai M_bj + M_aj M_bi) / P,
+
+    an exact division by the Pfaffian form of Sylvester's identity (Knuth,
+    "Overlapping Pfaffians", 1996): the entries are the Pfaffians of the
+    principal minors on the pivots so far and {i, j}.  Each pivot pair adds
+    2 to the rank.  ``a`` is the first live index; a zero row there is
+    dropped, and b is its entry of least magnitude.
+    """
+    at = {j: i for i, j in enumerate(sorted({j for r in rows for j in r}))}
+    n = len(at)
+    upper = []  # upper[i][j - i - 1] = M_ij for i < j
+    for i, r in enumerate(rows):
+        u = [0] * (n - 1 - i)
+        for j, v in r.items():
+            j = at[j] - i - 1
+            if j >= 0:
+                u[j] = v
+        upper.append(u)
+    rank, prev = 0, 1
+    while len(upper) > 1:
+        top = upper[0]
+        if not any(top):
+            del upper[0]
+            continue
+        p = min(filter(None, top), key=abs)
+        b = top.index(p) + 1
+        # M_0i and M_bi for the other live i, as index i of upper lists them.
+        col = [0] + top
+        mid = [-r[b - i - 1] for i, r in enumerate(upper[:b])] + [0] + upper[b]
+        nxt = []
+        for i in range(1, len(upper)):
+            if i == b:
+                continue
+            ui, vi = col[i], mid[i]
+            row = [(p * x - ui * v + u * vi) // prev
+                   for x, u, v in zip(upper[i], col[i + 1:], mid[i + 1:])]
+            if i < b:
+                del row[b - i - 1]
+            nxt.append(row)
+        upper = nxt
+        rank, prev = rank + 2, p
+    return rank
+
+
+def q_rank_bound(rows, skew=False):
     """Lower bound on the rank over Q, and how to finish it; consumes ``rows``.
 
     Returns ``(bound, finish)``.  The unit phase of :func:`_eliminate_units`
@@ -344,19 +415,30 @@ def q_rank_bound(rows):
     exceeds rank_Q: the unit phase is unimodular, so it keeps the rank over
     Q and over F_p, and a rank can only drop modulo a prime.  ``finish`` is
     None when the bound is the rank: the residual is empty, or its rank
-    modulo the prime is its smaller dimension, which no rank can exceed.
+    modulo the prime reaches the smaller dimension, which no rank can exceed.
     Otherwise ``finish()`` eliminates the kept residual fraction-free and
     returns the exact rank.  An unlucky prime only lowers the bound, so the
-    fraction-free loop decides; the prime affects speed, never a rank.
+    exact finish decides; the prime affects speed, never a rank.
+
+    ``skew`` says that the rows form a skew-symmetric matrix whose row i and
+    column i carry one label (:func:`cuphom.cup_complex.skew_rows`).  Unit
+    pivots then come in mirrored pairs, so the residual is skew as well, and
+    a skew rank is even: a residual of s rows is certified once its rank
+    modulo the prime is at least s - 1.  An open residual that is dense (at
+    least s^2/8 entries, the switch of :func:`_rank_mod_p`) is finished by
+    :func:`_pfaffian_rank`; a sparse one, like every other matrix, by
+    :func:`_fraction_free_rank`, whose sparse pivots keep fill-in low.
     """
-    units, rest = _eliminate_units(rows)
+    units, rest = _eliminate_units(rows, paired=skew)
     if not rest:
         return units, None
     p = BOUND_PRIME
     bound = _rank_mod_p([{j: v % p for j, v in r.items() if v % p} for r in rest], p)
-    if bound == min(len(rest), len({j for r in rest for j in r})):
+    cap = min(len(rest), len({j for r in rest for j in r}))
+    if bound == (cap - cap % 2 if skew else cap):
         return units + bound, None
-    return units + bound, lambda: units + _fraction_free_rank(rest)
+    dense = skew and 8 * sum(map(len, rest)) >= cap * cap
+    return units + bound, lambda: units + (_pfaffian_rank if dense else _fraction_free_rank)(rest)
 
 
 def _rank_mod_p(rows, p):

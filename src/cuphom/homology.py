@@ -9,8 +9,10 @@ normal form per kept map, the field invariants one rank, and each dual map
 d_{b+3-k}, a certified signed transpose of d_k, takes its partner's result
 (:func:`_with_duals`).  Over Q those ranks start as lower bounds modulo a
 fixed prime, and the chain complex itself certifies most of them
-(:func:`_q_ranks`).  Whatever the ring, the per-degree dimensions come
-from the per-map ranks through the one formula of :func:`_dims`.
+(:func:`_q_ranks`); at b = 1 mod 4 the self-dual middle map is ranked in
+its skew form (:func:`cuphom.cup_complex.skew_rows`).  Whatever the ring,
+the per-degree dimensions come from the per-map ranks through the one
+formula of :func:`_dims`.
 """
 
 import math
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .cup_complex import boundary_rows, composites, dual_degree
+from .cup_complex import boundary_rows, composites, dual_degree, skew_rows
 from .exact_linalg import (q_rank_bound, rank_over_field, smith_normal_form,
                            _divisibility_chain)
 from .forms import FormError, require_prime
@@ -160,12 +162,19 @@ def _q_ranks(f):
     Only the kept half is bounded and finished; each dual map takes its
     partner's value (:func:`_with_duals`), so L_{b+3-k} = L_k, the rule sees
     the same zeros for both maps of a pair, and an open pair is finished
-    once.
+    once.  At b = 1 mod 4 the self-dual middle map, 2k = b + 3, is bounded
+    in its skew form, with the same rank: its unit pivots come in mirrored
+    pairs, a bound of at least s - 1 on a residual of s rows is exact (a
+    skew rank is even), and a dense open residual takes the Pfaffian
+    finish (see :func:`cuphom.exact_linalg.q_rank_bound`).
     """
     b = f.rank
     ranks, open_maps = {}, {}
     for k in range(3, (b + 3) // 2 + 1):
-        ranks[k], finish = q_rank_bound(boundary_rows(f, k))
+        if 2 * k == b + 3 and b % 4 == 1:
+            ranks[k], finish = q_rank_bound(skew_rows(f), skew=True)
+        else:
+            ranks[k], finish = q_rank_bound(boundary_rows(f, k))
         if finish:
             open_maps[k] = finish
     for k, finish in open_maps.items():

@@ -8,7 +8,7 @@ from conftest import random_form, seeded
 
 from cuphom.cup_complex import (_check_duality, _entry_table, boundary_rows, composites,
                                 dual_degree, dump_boundary_matrices, render_matrix_grid,
-                                verify_d_squared)
+                                skew_rows, verify_d_squared)
 from cuphom.exterior import blade_basis
 from cuphom.forms import ThreeForm, surface_circle, torus3, trivial
 from cuphom.oracles import contraction_matrix
@@ -203,6 +203,57 @@ def test_failed_certificate_stops_homology(monkeypatch):
                 compute(f)
     finally:
         dual_degree.cache_clear()
+
+
+@pytest.mark.parametrize("b", [5, 9, 13])
+def test_middle_map_certificate_checks_the_table_against_itself(b):
+    # The self-dual d_m, 2m = b + 3, is its own dual: a flipped sign or an
+    # entry moved to another triple's run breaks the rule between an entry
+    # and its mirror, which the middle table never holds at the same place.
+    m = (b + 3) // 2
+    table = _entry_table(b, m)
+    _check_duality(b, m, table, table)
+    starts = table[2]
+    held = [h for h in range(len(starts) - 1) if starts[h] < starts[h + 1]]
+    for h in (held[0], held[len(held) // 2], held[-1]):
+        for mutant in (_moved(table, h, h ^ 1), _moved(table, h, h + 2 if h < 2 else h - 2)):
+            with pytest.raises(RuntimeError, match="signed transpose"):
+                _check_duality(b, m, mutant, mutant)
+
+
+@pytest.mark.parametrize("b", [5, 9, 13])
+def test_skew_rows_are_exactly_skew(b):
+    # Renaming each column to the row of its complement and signing it by
+    # sigma(B^c) turns the middle map at b = 1 mod 4 into a skew matrix.
+    rng = seeded(b)
+    for f in (random_form(rng, b, coeff_max=4), surface_circle((b - 1) // 2)):
+        rows, skew = boundary_rows(f, (b + 3) // 2), skew_rows(f)
+        assert len(skew) == len(rows) and sum(map(len, skew)) == sum(map(len, rows))
+        assert all(skew[j].get(i) == -v for i, row in enumerate(skew) for j, v in row.items())
+
+
+def test_failed_middle_certificate_stops_homology(monkeypatch):
+    # A flipped sign in the middle table of b = 5 raises before its skew
+    # relabelling is built or any rank is taken from it.
+    import cuphom.cup_complex as cc
+    from cuphom.homology import cup_homology, h_rank, mod_p_degree_dims
+
+    real = cc._entry_table
+
+    def flipped_d4(b, k):
+        return _moved(real(b, k), 0, 1) if (b, k) == (5, 4) else real(b, k)
+
+    monkeypatch.setattr(cc, "_entry_table", flipped_d4)
+    dual_degree.cache_clear()
+    cc._skew_table.cache_clear()
+    f = ThreeForm(5, ((1, 2, 3, 1), (1, 4, 5, 2), (2, 3, 4, -3)))
+    try:
+        for compute in (h_rank, cup_homology, lambda f: mod_p_degree_dims(f, 3)):
+            with pytest.raises(RuntimeError, match="d_4 is not the signed transpose of d_4"):
+                compute(f)
+    finally:
+        dual_degree.cache_clear()
+        cc._skew_table.cache_clear()
 
 
 def test_mod3_partition():

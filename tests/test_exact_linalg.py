@@ -8,8 +8,8 @@ from conftest import random_form, seeded
 
 from cuphom.cup_complex import boundary_rows
 from cuphom.exact_linalg import (BOUND_PRIME, PRIME_LIMIT, _dense_snf, _divisibility_chain,
-                                 _eliminate_units, _rank_mod_p, _round_div, is_prime,
-                                 q_rank_bound, rank_over_field, smith_normal_form,
+                                 _eliminate_units, _pfaffian_rank, _rank_mod_p, _round_div,
+                                 is_prime, q_rank_bound, rank_over_field, smith_normal_form,
                                  sparse_product)
 from cuphom.exterior import blade_basis
 from cuphom.forms import FormError, ThreeForm, surface_circle, torus3
@@ -581,6 +581,90 @@ def test_q_rank_matches_bareiss_when_a_residual_is_left():
         dense = [[r.get(j, 0) for j in range(n)] for r in rows]
         assert q_rank([dict(r) for r in rows]) == _dense_rank_char0(dense)
         checked += 1
+
+
+def _random_skew(rng, n, r, values):
+    """Dense n x n skew matrix B C B^T: B is n x r and C skew r x r, both drawn
+    from ``values``, so the rank is at most r."""
+    B = [[rng.choice(values) for _ in range(r)] for _ in range(n)]
+    C = [[0] * r for _ in range(r)]
+    for i, j in combinations(range(r), 2):
+        C[i][j] = rng.choice(values)
+        C[j][i] = -C[i][j]
+    BC = [[sum(x * y for x, y in zip(row, col)) for col in zip(*C)] for row in B]
+    return [[sum(x * y for x, y in zip(u, v)) for v in B] for u in BC]
+
+
+def _skew_rows(dense):
+    return [{j: v for j, v in enumerate(row) if v} for row in dense]
+
+
+def test_pfaffian_finish_matches_bareiss_on_skew_matrices():
+    # The Pfaffian finish takes the nonempty rows of a skew matrix, labelled
+    # by the sorted columns they use; the dense Bareiss oracle shares no code
+    # with it.
+    assert _pfaffian_rank([]) == 0  # the zero matrix has no nonempty row
+    assert _pfaffian_rank([{1: 3}, {0: -3}]) == 2 == _dense_rank_char0([[0, 3], [-3, 0]])
+    assert _pfaffian_rank([{5: -2 ** 40}, {2: 2 ** 40}]) == 2
+    rng = seeded(1818)
+    small, large = (-3, -2, -1, 0, 1, 2, 3), (-2 ** 20, -1, 0, 1, 2 ** 20 - 1)
+    deficient = 0
+    for _ in range(60):
+        n = rng.randint(3, 40)
+        r = rng.choice((n, rng.randint(1, n)))  # planted rank deficiency when r < n - 1
+        dense = _random_skew(rng, n, r, rng.choice((small, large)))
+        rows = [row for row in _skew_rows(dense) if row]
+        rank = _dense_rank_char0(dense)
+        assert _pfaffian_rank([dict(row) for row in rows]) == rank, (n, r)
+        deficient += rank < n - 1
+    big = [[0] * 30 for _ in range(30)]  # full-size entries up to 2^40
+    for i, j in combinations(range(30), 2):
+        big[i][j] = rng.randint(-2 ** 40, 2 ** 40)
+        big[j][i] = -big[i][j]
+    assert _pfaffian_rank(_skew_rows(big)) == _dense_rank_char0(big) == 30
+    assert max(abs(v) for row in big for v in row) > 2 ** 39
+    assert deficient > 20
+
+
+def test_skew_q_rank_pairs_units_and_matches_bareiss(monkeypatch):
+    # Paired unit pivots keep the residual skew, with its rows labelled by
+    # the sorted columns they use; the bound and the finish agree with the
+    # oracle.  Products B C B^T leave dense residuals, for the Pfaffian
+    # finish; random skew matrices with few entries leave sparse ones, for
+    # the fraction-free loop.
+    import cuphom.exact_linalg as el
+
+    finished = []
+
+    def counted(name, real):
+        def finish(rows):
+            finished.append(name)
+            return real(rows)
+        return finish
+
+    for name in ("_pfaffian_rank", "_fraction_free_rank"):
+        monkeypatch.setattr(el, name, counted(name, getattr(el, name)))
+    rng = seeded(1919)
+    for trial in range(80):
+        n = rng.randint(2, 40)
+        if trial % 2:
+            dense = _random_skew(rng, n, rng.randint(1, n), (-2, -1, 0, 0, 1, 2))
+        else:
+            dense = [[0] * n for _ in range(n)]
+            for i, j in combinations(range(n), 2):
+                if rng.random() < 0.06:
+                    dense[i][j] = rng.choice((-3, -2, -1, 2, 3, 4))
+                    dense[j][i] = -dense[i][j]
+        units, rest = _eliminate_units(_skew_rows(dense), paired=True)
+        assert units % 2 == 0
+        labels = sorted({j for row in rest for j in row})
+        assert len(labels) == len(rest)
+        for i, row in zip(labels, rest):
+            assert all(rest[labels.index(j)].get(i) == -v for j, v in row.items())
+        bound, finish = q_rank_bound(_skew_rows(dense), skew=True)
+        rank = _dense_rank_char0(dense)
+        assert bound <= rank == (finish() if finish else bound)
+    assert finished.count("_pfaffian_rank") > 5 and finished.count("_fraction_free_rank") > 5
 
 
 def _count_packed(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import random_form, seeded, signed_permutation
 
-from cuphom.cup_complex import boundary_rows
+from cuphom.cup_complex import boundary_rows, skew_rows
 from cuphom.exact_linalg import BOUND_PRIME, _eliminate_units, _fraction_free_rank
 from cuphom.forms import (FormError, ThreeForm, connected_sum, mapping_torus, surface_circle,
                           torus3, transform, trivial)
@@ -318,56 +318,83 @@ def _count_calls(monkeypatch, module, name, seen):
     monkeypatch.setattr(module, name, counted)
 
 
+# 5% of the triples of rank 13, coefficients to 3: the middle map d_8 leaves
+# a sparse skew residual of 505 rows and 2,818 entries, which rule (b) leaves
+# open and the fraction-free loop finishes (the Pfaffian finish would fill in).
+SPARSE_B13 = _dense_or_sparse_form(seeded(4), 13, 3, 0.05)
+
+FINISHERS = ("_fraction_free_rank", "_pfaffian_rank")
+
+
+def _bounded(f, k):
+    """q_rank_bound on d_k, as _q_ranks calls it (skew for the middle map at b = 1 mod 4)."""
+    import cuphom.exact_linalg as el
+
+    if 2 * k == f.rank + 3 and f.rank % 4 == 1:
+        return el.q_rank_bound(skew_rows(f), skew=True)
+    return el.q_rank_bound(boundary_rows(f, k))
+
+
 def test_certified_q_ranks_match_the_fraction_free_path(monkeypatch):
     # Every map's rank, certified or finished, against the unit phase plus
     # the fraction-free loop on the whole residual (the path before bounds).
+    # Open middle maps at b = 1 mod 4 go to the Pfaffian finish when their
+    # residual is dense, and to the fraction-free loop when it is sparse.
     import cuphom.exact_linalg as el
 
     rng = seeded(1111)
     forms = [surface_circle(g) for g in range(1, 7)]
     forms += [_dense_or_sparse_form(rng, rng.randint(3, 9), coeff_max, keep)
               for coeff_max in (1, 3, 9) for keep in (0.3, 1.0) for _ in range(5)]
-    seen = {"_rank_mod_p": 0, "_fraction_free_rank": 0}
-    _count_calls(monkeypatch, el, "_rank_mod_p", seen)
-    _count_calls(monkeypatch, el, "_fraction_free_rank", seen)
-    bounded = left_open = finished = 0
+    forms.append(SPARSE_B13)
+    seen = dict.fromkeys(("_rank_mod_p",) + FINISHERS, 0)
+    for name in seen:
+        _count_calls(monkeypatch, el, name, seen)
+    bounded = left_open = 0
+    finished = dict.fromkeys(FINISHERS, 0)
     for f in forms:
         seen.update(dict.fromkeys(seen, 0))
         ranks = _q_ranks(f)
         bounded += seen["_rank_mod_p"]  # one rank mod P per nonempty residual
-        finished += seen["_fraction_free_rank"]
+        for name in FINISHERS:
+            finished[name] += seen[name]
         for k in range(3, f.rank + 1):
             units, rest = _eliminate_units(boundary_rows(f, k))
             assert ranks[k] == units + _fraction_free_rank(rest), (f, k)
-            left_open += el.q_rank_bound(boundary_rows(f, k))[1] is not None
-    # Rule (a) certified some residuals and the others went through the
-    # fraction-free loop.  At b <= 9 rule (b) seldom leaves a map certified;
-    # the dense b = 10 form below checks it.
-    assert bounded > left_open >= finished > 0, (bounded, left_open, finished)
+            left_open += _bounded(f, k)[1] is not None
+    # Rule (a) certified some residuals and the others went through a
+    # finisher.  At b <= 9 rule (b) seldom leaves a map certified; the dense
+    # b = 10 form below checks it.
+    assert bounded > left_open >= sum(finished.values()) > 0, (bounded, left_open, finished)
+    # The dense b = 9 middle maps took the Pfaffian finish; of the sparse
+    # b = 13 form, only its middle map is finished, by the fraction-free loop.
+    assert finished["_pfaffian_rank"] > 0, finished
+    assert (seen["_fraction_free_rank"], seen["_pfaffian_rank"]) == (1, 0)
 
 
 def test_unlucky_prime_falls_back_to_the_exact_loop(monkeypatch):
     # Multiples of the bound prime vanish modulo it, so every bound is 0 and
-    # no certificate fires: the fraction-free loop must decide every nonzero
-    # map of the kept half.
+    # no certificate fires: an exact finish must decide every nonzero map of
+    # the kept half (the Pfaffian one for the dense skew middle map at b = 5).
     import cuphom.exact_linalg as el
 
-    seen = {"_fraction_free_rank": 0}
-    _count_calls(monkeypatch, el, "_fraction_free_rank", seen)
+    seen = dict.fromkeys(FINISHERS, 0)
+    for name in FINISHERS:
+        _count_calls(monkeypatch, el, name, seen)
     assert h_rank(torus3(BOUND_PRIME)) == 3
-    assert seen["_fraction_free_rank"] == 1
+    assert sum(seen.values()) == 1
     rng = seeded(1212)
     for _ in range(12):
         f = random_form(rng, rng.randint(3, 7))
         for c in (BOUND_PRIME, 2 * BOUND_PRIME):
             g = ThreeForm.from_coeffs(f.rank, {(i, j, k): c * a for i, j, k, a in f.terms})
             h = h_rank(f)
-            seen["_fraction_free_rank"] = 0
+            seen.update(dict.fromkeys(seen, 0))
             assert h_rank(g) == h
-            # One loop per nonzero kept map; its dual takes the same rank.
+            # One finish per nonzero kept map; its dual takes the same rank.
             kept = range(3, (f.rank + 3) // 2 + 1)
             nonzero = sum(1 for k in kept if any(boundary_rows(f, k)))
-            assert seen["_fraction_free_rank"] == nonzero
+            assert sum(seen.values()) == nonzero
 
 
 def test_q_rank_certificates_decide_without_the_exact_loop(monkeypatch):
@@ -375,16 +402,17 @@ def test_q_rank_certificates_decide_without_the_exact_loop(monkeypatch):
     import cuphom.homology as hom
 
     def no_loop(rows):
-        raise AssertionError("fraction-free loop ran")
+        raise AssertionError("exact finish ran")
 
     left_open = []
 
-    def seen_bound(rows):
-        bound, finish = el.q_rank_bound(rows)
+    def seen_bound(rows, skew=False):
+        bound, finish = el.q_rank_bound(rows, skew)
         left_open.append(finish is not None)
         return bound, finish
 
-    monkeypatch.setattr(el, "_fraction_free_rank", no_loop)
+    for name in FINISHERS:
+        monkeypatch.setattr(el, name, no_loop)
     monkeypatch.setattr(hom, "q_rank_bound", seen_bound)
     assert h_rank(G2) == 27
     assert h_rank(surface_circle(5)) == 462

@@ -116,7 +116,7 @@ def test_checks_do_not_use_the_unit_kernel(monkeypatch):
     # phase, so the UCT check and the oracle stay independent of it.
     import cuphom.exact_linalg as el
 
-    def no_kernel(rows):
+    def no_kernel(rows, paired=False):
         raise AssertionError("unit kernel called")
 
     monkeypatch.setattr(el, "_eliminate_units", no_kernel)
