@@ -5,25 +5,25 @@ with zero entries left out; row i of the list is row i of the matrix.  All
 arithmetic uses Python's arbitrary-precision integers; intermediate values
 of an elimination are allowed to grow without any overflow semantics.
 
-Smith normal form and the rank over Q share one unit phase (the sparse
-phase of Dumas, Saunders and Villard, "On efficient sparse integer matrix
-Smith normal form computations", J. Symbolic Comput. 2001).  Boundary maps
-have entries ±(form coefficients), so most pivots are units: these are
-eliminated on the sparse rows by :func:`_eliminate_units`, each giving an
-invariant factor 1 and one unit of rank.  The block left over has no unit
-entry, and each of the two finishes it its own way.  Smith normal form
+Smith normal form and the rank over Q share one sparse kernel,
+:func:`_eliminate`, whose unit phase is the sparse phase of Dumas, Saunders
+and Villard ("On efficient sparse integer matrix Smith normal form
+computations", J. Symbolic Comput. 2001).  Boundary maps have entries
+±(form coefficients), so most pivots are units: each gives an invariant
+factor 1 and one unit of rank.  The block left over has no unit entry, and
+each of the two finishes it its own way.  Smith normal form
 (:func:`_dense_snf`) turns it so that it is wide, densifies it, and takes
 one diagonal step at a time: a single scan for the smallest pivot, Euclid
 down the pivot column with row operations, then column operations on the
 pivot row alone (the pivot column is zero elsewhere by then), and the
 pivot row and column are cut out of the block.  The Q-rank has one entry
 point, :func:`q_rank_bound`: it bounds the block from below by its rank
-modulo the fixed prime :data:`BOUND_PRIME` and hands back a finisher that
-eliminates it fraction-free, for the caller to run only when the bound is
-not known to be exact (:func:`cuphom.homology._q_ranks` decides).  The
-finisher works on the sparse rows (:func:`_fraction_free_rank`), except
-for a dense block of a skew-symmetric matrix: there the unit pivots come
-in mirrored pairs, so the block left is skew, and :func:`_pfaffian_rank`
+modulo the fixed prime :data:`BOUND_PRIME` and hands back a finisher, for
+the caller to run only when the bound is not known to be exact
+(:func:`cuphom.homology._q_ranks` decides).  The finisher runs the same
+kernel with any pivot, fraction-free on the sparse rows, except for a
+dense block of a skew-symmetric matrix: there the unit pivots come in
+mirrored pairs, so the block left is skew, and :func:`_pfaffian_rank`
 eliminates its upper triangle two ranks at a time, with 2×2 pivots and
 exact divisions.
 
@@ -192,8 +192,8 @@ def _has_unit(row):
     return 1 in values or -1 in values
 
 
-def _eliminate_units(rows, paired=False):
-    """Eliminate unit pivots on sparse rows; returns (units eliminated, residual rows).
+def _eliminate(rows, paired=False, any_pivot=False):
+    """Sparse elimination over Z; returns (pivots eliminated, residual rows).
 
     While some entry is ±1, take the shortest row holding one (the lowest row
     index on ties) and, in that row, the ±1 column with the fewest entries;
@@ -205,9 +205,16 @@ def _eliminate_units(rows, paired=False):
     factor 1 and one unit of rank.  The residual is the nonempty rows left,
     in their original order, with no ±1 entry.
 
+    ``any_pivot`` makes every nonempty row a candidate, so nothing is left
+    and the count is the rank over Q.  The pivot is the shortest row's entry
+    of least magnitude (the column with fewest entries on ties), and each
+    row becomes ``a·row - c·prow`` with a = |pv|/g > 0, c = ±rv/g and g =
+    gcd(pv, rv), its content divided out when a != 1: invertible over Q, and
+    for a unit pivot a = 1 and c = rv·pv, the update above.
+
     The candidate pivot rows sit in a heap of (length, row index); an entry
-    whose row has since been eliminated, changed length or lost its units is
-    skipped when popped, and every changed row that holds a unit is pushed
+    whose row has since been eliminated, changed length or stopped being a
+    candidate is skipped when popped, and every changed candidate is pushed
     again.  ``rows`` is consumed.
 
     ``paired`` is for a skew-symmetric matrix whose row i and column i carry
@@ -217,16 +224,17 @@ def _eliminate_units(rows, paired=False):
     of the pair, which is skew again, and the residual rows, in order, are
     labelled by the sorted columns they use.
     """
+    candidate = bool if any_pivot else _has_unit
     live = {}
     heap = []
     for i, r in enumerate(rows):
         if r:
             live[i] = r
-            if _has_unit(r):
+            if candidate(r):
                 heap.append((len(r), i))
     if not heap:
         return 0, list(live.values())
-    if len(live) == 1:  # one row holding a unit: nothing else to clear
+    if len(live) == 1:  # one candidate row: nothing else to clear
         return 1, []
     heapify(heap)
     col_rows = {}
@@ -236,7 +244,7 @@ def _eliminate_units(rows, paired=False):
                 col_rows[j].add(i)
             else:
                 col_rows[j] = {i}
-    units = 0
+    pivots = 0
     mirror = None
     while heap or mirror:
         if mirror:
@@ -245,18 +253,28 @@ def _eliminate_units(rows, paired=False):
         else:
             n, pi = heappop(heap)
             prow = live.get(pi)
-            if prow is None or len(prow) != n or not _has_unit(prow):
+            if prow is None or len(prow) != n or not candidate(prow):
                 continue
             del live[pi]
-            pc = min((j for j, v in prow.items() if v in (1, -1)),
+            least = (1, -1)
+            if any_pivot:
+                m = min(map(abs, prow.values()))
+                least = (m, -m)
+            pc = min((j for j, v in prow.items() if v in least),
                      key=lambda j: len(col_rows[j]))
         mirror = (pc, pi) if paired and not mirror else None
         pv = prow[pc]
+        pp = pv * pv
         for j in prow:
             col_rows[j].discard(pi)
         for i in col_rows.pop(pc):
             row = live[i]
-            c = row.pop(pc) * pv  # rv / pv, as pv = ±1
+            a, c = 1, row.pop(pc) * pv  # rv·pv: rv / pv when pv = ±1
+            if pp != 1:
+                g = gcd(pp, c)  # |pv|·gcd(pv, rv)
+                a, c = pp // g, c // g
+                for j in row:
+                    row[j] *= a
             for j, v in prow.items():
                 if j == pc:
                     continue
@@ -268,12 +286,15 @@ def _eliminate_units(rows, paired=False):
                 else:
                     del row[j]
                     col_rows[j].discard(i)
+            if a != 1 and (g := gcd(*row.values())) > 1:
+                for j in row:
+                    row[j] //= g
             if not row:
                 del live[i]
-            elif _has_unit(row):
+            elif candidate(row):
                 heappush(heap, (len(row), i))
-        units += 1
-    return units, list(live.values())
+        pivots += 1
+    return pivots, list(live.values())
 
 
 def smith_normal_form(rows):
@@ -282,26 +303,14 @@ def smith_normal_form(rows):
     Factors equal to 1 are kept, so the length of the tuple is the rank and
     the factors above 1 are its tail.
 
-    Two phases.  The sparse phase (:func:`_eliminate_units`) eliminates unit
+    Two phases.  The sparse phase (:func:`_eliminate`) eliminates unit
     pivots, each an invariant factor 1.  The dense phase (:func:`_dense_snf`)
     densifies the rest over the columns it uses (zero rows and columns carry
     no invariant factors) and eliminates by smallest pivots, one pivot row
     and column at a time.  ``rows`` is left unchanged.
     """
-    units, rest = _eliminate_units([dict(r) for r in rows if r])
+    units, rest = _eliminate([dict(r) for r in rows if r])
     return (1,) * units + _dense_snf(rest)
-
-
-def _strip_content(row):
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
-        if g == 1:
-            return row
-    if g > 1:
-        for j in row:
-            row[j] //= g
-    return row
 
 
 def sparse_product(A, B):
@@ -316,49 +325,11 @@ def sparse_product(A, B):
     return out
 
 
-def _fraction_free_rank(rows):
-    """Rank over Q of nonempty sparse rows, eliminated fraction-free; consumes ``rows``.
-
-    The rows are {column: value} dicts with their content divided out; the
-    row update (pv/g)*row - (rv/g)*pivot is an invertible operation over Q,
-    so the rank is exact.
-    """
-    rows = [_strip_content(r) for r in rows]
-    rank = 0
-    while len(rows) > 1:
-        # Pivot row: fewest entries, then smallest magnitude, first on ties.
-        keys = [(len(r), min(map(abs, r.values()))) for r in rows]
-        prow = rows.pop(keys.index(min(keys)))
-        pc, pv = min(prow.items(), key=lambda it: (abs(it[1]), it[0]))
-        rank += 1
-        nxt = []
-        for row in rows:
-            rv = row.pop(pc, None)
-            if rv is None:
-                nxt.append(row)
-                continue
-            g = gcd(pv, rv)
-            a, c = pv // g, rv // g
-            new = {j: a * v for j, v in row.items()}
-            for j, v in prow.items():
-                if j == pc:
-                    continue
-                w = new.get(j, 0) - c * v
-                if w:
-                    new[j] = w
-                else:
-                    new.pop(j, None)
-            if new:
-                nxt.append(_strip_content(new))
-        rows = nxt
-    return rank + len(rows)
-
-
 def _pfaffian_rank(rows):
     """Rank over Q of a nonempty skew-symmetric residual of the paired unit phase.
 
     The rows are labelled by the sorted columns they use (see
-    :func:`_eliminate_units`).  Fraction-free Pfaffian elimination on the
+    :func:`_eliminate`).  Fraction-free Pfaffian elimination on the
     dense strict upper triangle: with the pivot pair (a, b) and the previous
     pivot P (1 at first), every other entry becomes
 
@@ -409,7 +380,7 @@ def _pfaffian_rank(rows):
 def q_rank_bound(rows, skew=False):
     """Lower bound on the rank over Q, and how to finish it; consumes ``rows``.
 
-    Returns ``(bound, finish)``.  The unit phase of :func:`_eliminate_units`
+    Returns ``(bound, finish)``.  The unit phase of :func:`_eliminate`
     goes first; if it leaves a residual, the bound is the unit count plus
     the rank of the residual modulo :data:`BOUND_PRIME`.  The bound never
     exceeds rank_Q: the unit phase is unimodular, so it keeps the rank over
@@ -426,10 +397,10 @@ def q_rank_bound(rows, skew=False):
     a skew rank is even: a residual of s rows is certified once its rank
     modulo the prime is at least s - 1.  An open residual that is dense (at
     least s^2/8 entries, the switch of :func:`_rank_mod_p`) is finished by
-    :func:`_pfaffian_rank`; a sparse one, like every other matrix, by
-    :func:`_fraction_free_rank`, whose sparse pivots keep fill-in low.
+    :func:`_pfaffian_rank`; a sparse one, like every other matrix, by the
+    unit kernel with any pivot, whose sparse pivots keep fill-in low.
     """
-    units, rest = _eliminate_units(rows, paired=skew)
+    units, rest = _eliminate(rows, paired=skew)
     if not rest:
         return units, None
     p = BOUND_PRIME
@@ -438,7 +409,8 @@ def q_rank_bound(rows, skew=False):
     if bound == (cap - cap % 2 if skew else cap):
         return units + bound, None
     dense = skew and 8 * sum(map(len, rest)) >= cap * cap
-    return units + bound, lambda: units + (_pfaffian_rank if dense else _fraction_free_rank)(rest)
+    return units + bound, lambda: units + (_pfaffian_rank(rest) if dense else
+                                           _eliminate(rest, any_pivot=True)[0])
 
 
 def _rank_mod_p(rows, p):

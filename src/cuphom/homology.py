@@ -157,7 +157,7 @@ def _q_ranks(f):
     transposes) and ``cuphom verify`` check it for each form they are
     given; ``test_compiled_maps_match_contraction`` and
     ``test_c2a_d_squared_zero`` check the compiled entry tables.  Only the
-    maps the rule leaves open are finished fraction-free.  Any lower bounds
+    maps the rule leaves open are finished exactly.  Any lower bounds
     will do, so a map finished earlier takes part with its exact rank.
     Only the kept half is bounded and finished; each dual map takes its
     partner's value (:func:`_with_duals`), so L_{b+3-k} = L_k, the rule sees
@@ -166,7 +166,8 @@ def _q_ranks(f):
     in its skew form, with the same rank: its unit pivots come in mirrored
     pairs, a bound of at least s - 1 on a residual of s rows is exact (a
     skew rank is even), and a dense open residual takes the Pfaffian
-    finish (see :func:`cuphom.exact_linalg.q_rank_bound`).
+    finish; every other open residual is finished by the sparse kernel
+    with any pivot (see :func:`cuphom.exact_linalg.q_rank_bound`).
     """
     b = f.rank
     ranks, open_maps = {}, {}

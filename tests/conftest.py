@@ -43,3 +43,28 @@ def broken_d6(monkeypatch):
         return rows
 
     monkeypatch.setattr(cc, "boundary_rows", doubled_first_row)
+
+
+FINISHES = ("any_pivot", "_pfaffian_rank")
+
+
+@pytest.fixture
+def finishes(monkeypatch):
+    """Counts of the exact finishes of open Q-ranks that run in the test: the
+    any-pivot mode of exact_linalg._eliminate and the Pfaffian finish."""
+    import cuphom.exact_linalg as el
+
+    seen = dict.fromkeys(FINISHES, 0)
+    eliminate, pfaffian = el._eliminate, el._pfaffian_rank
+
+    def counted_eliminate(rows, paired=False, any_pivot=False):
+        seen["any_pivot"] += any_pivot
+        return eliminate(rows, paired, any_pivot)
+
+    def counted_pfaffian(rows):
+        seen["_pfaffian_rank"] += 1
+        return pfaffian(rows)
+
+    monkeypatch.setattr(el, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(el, "_pfaffian_rank", counted_pfaffian)
+    return seen

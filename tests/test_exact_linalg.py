@@ -8,7 +8,7 @@ from conftest import random_form, seeded
 
 from cuphom.cup_complex import boundary_rows
 from cuphom.exact_linalg import (BOUND_PRIME, PRIME_LIMIT, _dense_snf, _divisibility_chain,
-                                 _eliminate_units, _pfaffian_rank, _rank_mod_p, _round_div,
+                                 _eliminate, _pfaffian_rank, _rank_mod_p, _round_div,
                                  is_prime, q_rank_bound, rank_over_field, smith_normal_form,
                                  sparse_product)
 from cuphom.exterior import blade_basis
@@ -524,7 +524,7 @@ def _random_sparse(rng, values):
 
 
 def _kernel_matches_min_scan(rows):
-    units, residual = _eliminate_units([dict(r) for r in rows])
+    units, residual = _eliminate([dict(r) for r in rows])
     ref_units, ref_residual = _min_scan_unit_phase(rows)
     assert units == ref_units
     assert [list(r.items()) for r in residual] == [list(r.items()) for r in ref_residual]
@@ -559,15 +559,15 @@ def test_unit_kernel_matches_min_scan_on_boundary_maps():
 
 def test_unit_kernel_consumes_rows_and_keeps_row_order():
     rows = [{0: 2, 1: 4}, {}, {0: 1, 2: 1}, {1: 6, 2: 3}, {0: 3}]
-    units, residual = _eliminate_units(rows)
+    units, residual = _eliminate(rows)
     # Row 2 is the only one with a unit; of its ±1 columns, column 2 has the
     # fewer rows (2 against 3), so it is cleared, from row 3 only.
     assert units == 1
     assert residual == [{0: 2, 1: 4}, {1: 6, 0: -3}, {0: 3}]
     assert [r is rows[i] for r, i in zip(residual, (0, 3, 4))] == [True] * 3
-    assert _eliminate_units([{}, {3: 5}]) == (0, [{3: 5}])
-    assert _eliminate_units([{}, {3: -1, 4: 7}, {}]) == (1, [])
-    assert _eliminate_units([]) == (0, [])
+    assert _eliminate([{}, {3: 5}]) == (0, [{3: 5}])
+    assert _eliminate([{}, {3: -1, 4: 7}, {}]) == (1, [])
+    assert _eliminate([]) == (0, [])
 
 
 def test_q_rank_matches_bareiss_when_a_residual_is_left():
@@ -575,12 +575,95 @@ def test_q_rank_matches_bareiss_when_a_residual_is_left():
     checked = 0
     while checked < 40:
         rows = _random_sparse(rng, (1, -1, 2, -2, 3, 4, -6))
-        if not _eliminate_units([dict(r) for r in rows])[1]:
+        if not _eliminate([dict(r) for r in rows])[1]:
             continue
         n = 1 + max((j for r in rows for j in r), default=0)
         dense = [[r.get(j, 0) for j in range(n)] for r in rows]
         assert q_rank([dict(r) for r in rows]) == _dense_rank_char0(dense)
         checked += 1
+
+
+# Reference Q-rank for the any-pivot mode of _eliminate: a fraction-free
+# loop that shares none of its code (no heap, no column index).
+def _strip_content(row):
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return row
+    if g > 1:
+        for j in row:
+            row[j] //= g
+    return row
+
+
+def _fraction_free_rank(rows):
+    """Rank over Q of nonempty sparse rows, eliminated fraction-free; consumes ``rows``.
+
+    The rows are {column: value} dicts with their content divided out; the
+    row update (pv/g)*row - (rv/g)*pivot is an invertible operation over Q,
+    so the rank is exact.
+    """
+    rows = [_strip_content(r) for r in rows]
+    rank = 0
+    while len(rows) > 1:
+        # Pivot row: fewest entries, then smallest magnitude, first on ties.
+        keys = [(len(r), min(map(abs, r.values()))) for r in rows]
+        prow = rows.pop(keys.index(min(keys)))
+        pc, pv = min(prow.items(), key=lambda it: (abs(it[1]), it[0]))
+        rank += 1
+        nxt = []
+        for row in rows:
+            rv = row.pop(pc, None)
+            if rv is None:
+                nxt.append(row)
+                continue
+            g = gcd(pv, rv)
+            a, c = pv // g, rv // g
+            new = {j: a * v for j, v in row.items()}
+            for j, v in prow.items():
+                if j == pc:
+                    continue
+                w = new.get(j, 0) - c * v
+                if w:
+                    new[j] = w
+                else:
+                    new.pop(j, None)
+            if new:
+                nxt.append(_strip_content(new))
+        rows = nxt
+    return rank + len(rows)
+
+
+def _any_pivot_rank(rows):
+    rank, rest = _eliminate([dict(r) for r in rows], any_pivot=True)
+    assert rest == []  # every nonempty row is a candidate
+    return rank
+
+
+def test_any_pivot_rank_matches_the_fraction_free_reference():
+    rng = seeded(2020)
+    kinds = {"unit-rich": (1, -1, 1, -1, 2, -3), "unit-free": (2, -2, 3, -4, 6, 9),
+             "large": (1, -1, 2 ** 40 + 1, -3 ** 25, 6 ** 17, 2 ** 61 - 1),
+             "large unit-free": (2 ** 40, -3 ** 25, 6 ** 17, 10 ** 15 + 5)}
+    deficient = 0
+    for name, values in kinds.items():
+        for _ in range(60):
+            rows = _random_sparse(rng, values)
+            rank = _fraction_free_rank([dict(r) for r in rows if r])
+            assert _any_pivot_rank(rows) == rank, (name, rows)
+            deficient += rank < min(len(rows), len({j for r in rows for j in r}))
+    assert deficient > 20, deficient
+    # Rank-deficient by construction: products of a thin pair, entries that
+    # have no unit, nor a common factor with the bound prime's multiples.
+    for _ in range(30):
+        m, n, r = rng.randint(2, 25), rng.randint(2, 25), rng.randint(1, 6)
+        A = [[rng.choice((0, 0, 2, -3, 5, 7)) for _ in range(r)] for _ in range(m)]
+        B = [[rng.choice((0, 0, 0, 4, -6, 9)) for _ in range(n)] for _ in range(r)]
+        dense = [[sum(x * y for x, y in zip(row, col)) for col in zip(*B)] for row in A]
+        rows = [{j: v for j, v in enumerate(row) if v} for row in dense]
+        assert _any_pivot_rank(rows) == _fraction_free_rank([r for r in rows if r]) \
+            == _dense_rank_char0(dense)
 
 
 def _random_skew(rng, n, r, values):
@@ -626,24 +709,12 @@ def test_pfaffian_finish_matches_bareiss_on_skew_matrices():
     assert deficient > 20
 
 
-def test_skew_q_rank_pairs_units_and_matches_bareiss(monkeypatch):
+def test_skew_q_rank_pairs_units_and_matches_bareiss(finishes):
     # Paired unit pivots keep the residual skew, with its rows labelled by
     # the sorted columns they use; the bound and the finish agree with the
     # oracle.  Products B C B^T leave dense residuals, for the Pfaffian
     # finish; random skew matrices with few entries leave sparse ones, for
-    # the fraction-free loop.
-    import cuphom.exact_linalg as el
-
-    finished = []
-
-    def counted(name, real):
-        def finish(rows):
-            finished.append(name)
-            return real(rows)
-        return finish
-
-    for name in ("_pfaffian_rank", "_fraction_free_rank"):
-        monkeypatch.setattr(el, name, counted(name, getattr(el, name)))
+    # the any-pivot mode of the sparse kernel.
     rng = seeded(1919)
     for trial in range(80):
         n = rng.randint(2, 40)
@@ -655,7 +726,7 @@ def test_skew_q_rank_pairs_units_and_matches_bareiss(monkeypatch):
                 if rng.random() < 0.06:
                     dense[i][j] = rng.choice((-3, -2, -1, 2, 3, 4))
                     dense[j][i] = -dense[i][j]
-        units, rest = _eliminate_units(_skew_rows(dense), paired=True)
+        units, rest = _eliminate(_skew_rows(dense), paired=True)
         assert units % 2 == 0
         labels = sorted({j for row in rest for j in row})
         assert len(labels) == len(rest)
@@ -664,7 +735,7 @@ def test_skew_q_rank_pairs_units_and_matches_bareiss(monkeypatch):
         bound, finish = q_rank_bound(_skew_rows(dense), skew=True)
         rank = _dense_rank_char0(dense)
         assert bound <= rank == (finish() if finish else bound)
-    assert finished.count("_pfaffian_rank") > 5 and finished.count("_fraction_free_rank") > 5
+    assert finishes["_pfaffian_rank"] > 5 and finishes["any_pivot"] > 5, finishes
 
 
 def _count_packed(monkeypatch):

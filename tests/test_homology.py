@@ -4,10 +4,11 @@ from math import comb
 
 import pytest
 
-from conftest import random_form, seeded, signed_permutation
+from conftest import FINISHES, random_form, seeded, signed_permutation
+from test_exact_linalg import _fraction_free_rank
 
 from cuphom.cup_complex import boundary_rows, skew_rows
-from cuphom.exact_linalg import BOUND_PRIME, _eliminate_units, _fraction_free_rank
+from cuphom.exact_linalg import BOUND_PRIME, _eliminate
 from cuphom.forms import (FormError, ThreeForm, connected_sum, mapping_torus, surface_circle,
                           torus3, transform, trivial)
 from cuphom.homology import (AbelianGroup, _dims, _q_ranks, cup_homology, direct_sum,
@@ -320,10 +321,8 @@ def _count_calls(monkeypatch, module, name, seen):
 
 # 5% of the triples of rank 13, coefficients to 3: the middle map d_8 leaves
 # a sparse skew residual of 505 rows and 2,818 entries, which rule (b) leaves
-# open and the fraction-free loop finishes (the Pfaffian finish would fill in).
+# open and the any-pivot kernel finishes (the Pfaffian finish would fill in).
 SPARSE_B13 = _dense_or_sparse_form(seeded(4), 13, 3, 0.05)
-
-FINISHERS = ("_fraction_free_rank", "_pfaffian_rank")
 
 
 def _bounded(f, k):
@@ -335,11 +334,12 @@ def _bounded(f, k):
     return el.q_rank_bound(boundary_rows(f, k))
 
 
-def test_certified_q_ranks_match_the_fraction_free_path(monkeypatch):
+def test_certified_q_ranks_match_the_fraction_free_path(monkeypatch, finishes):
     # Every map's rank, certified or finished, against the unit phase plus
-    # the fraction-free loop on the whole residual (the path before bounds).
-    # Open middle maps at b = 1 mod 4 go to the Pfaffian finish when their
-    # residual is dense, and to the fraction-free loop when it is sparse.
+    # the reference fraction-free loop on the whole residual (the path
+    # before bounds).  Open middle maps at b = 1 mod 4 go to the Pfaffian
+    # finish when their residual is dense, and to the any-pivot kernel when
+    # it is sparse.
     import cuphom.exact_linalg as el
 
     rng = seeded(1111)
@@ -347,19 +347,19 @@ def test_certified_q_ranks_match_the_fraction_free_path(monkeypatch):
     forms += [_dense_or_sparse_form(rng, rng.randint(3, 9), coeff_max, keep)
               for coeff_max in (1, 3, 9) for keep in (0.3, 1.0) for _ in range(5)]
     forms.append(SPARSE_B13)
-    seen = dict.fromkeys(("_rank_mod_p",) + FINISHERS, 0)
-    for name in seen:
-        _count_calls(monkeypatch, el, name, seen)
+    seen = {"_rank_mod_p": 0}
+    _count_calls(monkeypatch, el, "_rank_mod_p", seen)
     bounded = left_open = 0
-    finished = dict.fromkeys(FINISHERS, 0)
+    finished = dict.fromkeys(FINISHES, 0)
     for f in forms:
-        seen.update(dict.fromkeys(seen, 0))
+        seen["_rank_mod_p"] = 0
+        finishes.update(dict.fromkeys(FINISHES, 0))
         ranks = _q_ranks(f)
         bounded += seen["_rank_mod_p"]  # one rank mod P per nonempty residual
-        for name in FINISHERS:
-            finished[name] += seen[name]
+        for name in FINISHES:
+            finished[name] += finishes[name]
         for k in range(3, f.rank + 1):
-            units, rest = _eliminate_units(boundary_rows(f, k))
+            units, rest = _eliminate(boundary_rows(f, k))
             assert ranks[k] == units + _fraction_free_rank(rest), (f, k)
             left_open += _bounded(f, k)[1] is not None
     # Rule (a) certified some residuals and the others went through a
@@ -367,42 +367,46 @@ def test_certified_q_ranks_match_the_fraction_free_path(monkeypatch):
     # b = 10 form below checks it.
     assert bounded > left_open >= sum(finished.values()) > 0, (bounded, left_open, finished)
     # The dense b = 9 middle maps took the Pfaffian finish; of the sparse
-    # b = 13 form, only its middle map is finished, by the fraction-free loop.
+    # b = 13 form, only its middle map is finished, by the any-pivot kernel.
     assert finished["_pfaffian_rank"] > 0, finished
-    assert (seen["_fraction_free_rank"], seen["_pfaffian_rank"]) == (1, 0)
+    assert (finishes["any_pivot"], finishes["_pfaffian_rank"]) == (1, 0)
 
 
-def test_unlucky_prime_falls_back_to_the_exact_loop(monkeypatch):
+def test_block_sums_finish_non_skew_open_maps_with_any_pivot(finishes):
+    # The sums have even rank or b = 3 mod 4, so no map is skew; the maps
+    # that mix the torus3(2) block with the other one keep an open residual
+    # of entries ±2, which the any-pivot kernel finishes.
+    for f1, h1 in ((surface_circle(3), 35), (surface_circle(4), 126), (mapping_torus(3, 1), 70)):
+        assert h_rank(f1) == h1
+        before = finishes["any_pivot"]
+        assert h_rank(connected_sum(f1, torus3(2))) == 2 * h1 * 3
+        assert finishes["any_pivot"] > before, f1
+    assert finishes["_pfaffian_rank"] == 0
+
+
+def test_unlucky_prime_falls_back_to_the_exact_loop(finishes):
     # Multiples of the bound prime vanish modulo it, so every bound is 0 and
     # no certificate fires: an exact finish must decide every nonzero map of
     # the kept half (the Pfaffian one for the dense skew middle map at b = 5).
-    import cuphom.exact_linalg as el
-
-    seen = dict.fromkeys(FINISHERS, 0)
-    for name in FINISHERS:
-        _count_calls(monkeypatch, el, name, seen)
     assert h_rank(torus3(BOUND_PRIME)) == 3
-    assert sum(seen.values()) == 1
+    assert sum(finishes.values()) == 1
     rng = seeded(1212)
     for _ in range(12):
         f = random_form(rng, rng.randint(3, 7))
         for c in (BOUND_PRIME, 2 * BOUND_PRIME):
             g = ThreeForm.from_coeffs(f.rank, {(i, j, k): c * a for i, j, k, a in f.terms})
             h = h_rank(f)
-            seen.update(dict.fromkeys(seen, 0))
+            finishes.update(dict.fromkeys(finishes, 0))
             assert h_rank(g) == h
             # One finish per nonzero kept map; its dual takes the same rank.
             kept = range(3, (f.rank + 3) // 2 + 1)
             nonzero = sum(1 for k in kept if any(boundary_rows(f, k)))
-            assert sum(seen.values()) == nonzero
+            assert sum(finishes.values()) == nonzero
 
 
-def test_q_rank_certificates_decide_without_the_exact_loop(monkeypatch):
+def test_q_rank_certificates_decide_without_the_exact_loop(monkeypatch, finishes):
     import cuphom.exact_linalg as el
     import cuphom.homology as hom
-
-    def no_loop(rows):
-        raise AssertionError("exact finish ran")
 
     left_open = []
 
@@ -411,8 +415,6 @@ def test_q_rank_certificates_decide_without_the_exact_loop(monkeypatch):
         left_open.append(finish is not None)
         return bound, finish
 
-    for name in FINISHERS:
-        monkeypatch.setattr(el, name, no_loop)
     monkeypatch.setattr(hom, "q_rank_bound", seen_bound)
     assert h_rank(G2) == 27
     assert h_rank(surface_circle(5)) == 462
@@ -420,6 +422,7 @@ def test_q_rank_certificates_decide_without_the_exact_loop(monkeypatch):
     f = _dense_or_sparse_form(seeded(3), 10, 9, 1.0)
     assert _dims(f.rank, _q_ranks(f)) == field_homology_oracle(f, 0)
     assert any(left_open)  # rule (b) certified these maps
+    assert finishes == dict.fromkeys(FINISHES, 0), "exact finish ran"
 
 
 def test_rank_duality_makes_degree_dims_palindromes():

@@ -116,10 +116,10 @@ def test_checks_do_not_use_the_unit_kernel(monkeypatch):
     # phase, so the UCT check and the oracle stay independent of it.
     import cuphom.exact_linalg as el
 
-    def no_kernel(rows, paired=False):
+    def no_kernel(rows, paired=False, any_pivot=False):
         raise AssertionError("unit kernel called")
 
-    monkeypatch.setattr(el, "_eliminate_units", no_kernel)
+    monkeypatch.setattr(el, "_eliminate", no_kernel)
     f = random_form(seeded(912), 6)
     with pytest.raises(AssertionError, match="unit kernel"):
         h_rank(f)
