@@ -134,12 +134,15 @@ def _cmd_verify(args):
 
 def _cmd_geography(args):
     if args.shard is not None:
-        done = geography.run_shard_to_checkpoint(args.b, args.coeff_max, args.shards,
+        shards = 1 if args.shards is None else args.shards
+        done = geography.run_shard_to_checkpoint(args.b, args.coeff_max, shards,
                                                  args.shard, args.out)
         state = "complete" if done else "checkpointed"
-        print(f"shard {args.shard}/{args.shards}: {state}")
+        print(f"shard {args.shard}/{shards}: {state}")
         return EXIT_OK
-    result = geography.geography_scan(args.b, args.coeff_max, shards=args.shards)
+    if args.shards is not None:
+        raise ValueError("--shards needs --shard: run each shard as its own invocation")
+    result = geography.geography_scan(args.b, args.coeff_max)
     geography.write_result(result, args.out)
     print(f"scanned {result.enumerated_count} forms at b={args.b}, "
           f"coeff_max={args.coeff_max}; realized h: {sorted(result.realized)}")
@@ -193,7 +196,7 @@ def build_parser():
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--coeff-max", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--shards", type=int, default=1)
+    p.add_argument("--shards", type=int, default=None, help="shard count for --shard (default 1)")
     p.add_argument("--shard", type=int, default=None,
                    help="run a single shard and fold it into the checkpoint")
     p.set_defaults(fn=_cmd_geography)

@@ -1,12 +1,14 @@
 """Exhaustive scans for realized h values at a fixed rank.
 
 Every 3-form with coefficients in [-coeff_max, coeff_max] is enumerated and
-its h recorded, keeping one witness per value.  The enumeration splits into
-shards by a prefix of the coefficient vector; merged results are independent
-of the shard schedule because the per-h witness is the one with the least
-serialized document, a commutative/associative/idempotent choice.  That
-choice is made without serializing anything: :func:`witness_key` orders
-same-rank forms exactly as their documents, and is computed once per form.
+its h recorded, keeping one witness per value: in one pass by
+:func:`geography_scan`, or split into shards by a prefix of the coefficient
+vector, one :func:`run_shard_to_checkpoint` call per shard.  Merged results
+are independent of the shard schedule because the per-h witness is the one
+with the least serialized document, a commutative/associative/idempotent
+choice.  That choice is made without serializing anything:
+:func:`witness_key` orders same-rank forms exactly as their documents, and
+is computed once per form.
 
 Scans prove realization only: a value absent from a bounded scan is not
 thereby ruled out.
@@ -90,12 +92,12 @@ def _witnesses(realized):
 def scan_shard(b, coeff_max, shards, shard_index):
     """Scan one shard; returns (forms enumerated, h -> (witness key, form))."""
     _check_params(b, coeff_max)
-    if not 0 <= shard_index < shards:
-        raise ValueError("shard index out of range")
     triples = blade_basis(b, 3)
     values = range(-coeff_max, coeff_max + 1)
     base = len(values)
     prefix_len, _ = _shard_layout(len(triples), base, shards)
+    if not 0 <= shard_index < shards:
+        raise ValueError("shard index out of range")
     realized = {}
     count = 0
     for rank_of_prefix, prefix in enumerate(product(values, repeat=prefix_len)):
@@ -110,19 +112,10 @@ def scan_shard(b, coeff_max, shards, shard_index):
     return count, realized
 
 
-def geography_scan(b, coeff_max, shards=1):
-    """Full scan, run shard by shard and merged; schedule-independent."""
-    _check_params(b, coeff_max)
-    if shards < 1:
-        raise ValueError("shard count must be >= 1")
-    total = 0
-    realized = {}
-    for i in range(shards):
-        count, part = scan_shard(b, coeff_max, shards, i)
-        total += count
-        for h, (key, form) in part.items():
-            _merge_witness(realized, h, key, form)
-    return GeographyResult(b=b, coeff_max=coeff_max, enumerated_count=total,
+def geography_scan(b, coeff_max):
+    """Full scan in one pass: the reference every sharded run must reproduce."""
+    count, realized = scan_shard(b, coeff_max, 1, 0)
+    return GeographyResult(b=b, coeff_max=coeff_max, enumerated_count=count,
                            realized=_witnesses(realized))
 
 
@@ -139,12 +132,16 @@ def result_document(result):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def write_result(result, path):
-    """Atomic write of the canonical result document."""
+def _write_atomic(path, text):
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(result_document(result))
+        fh.write(text)
     os.replace(tmp, path)
+
+
+def write_result(result, path):
+    """Atomic write of the canonical result document."""
+    _write_atomic(path, result_document(result))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +210,8 @@ def run_shard_to_checkpoint(b, coeff_max, shards, shard_index, out_path):
     The sidecar records b, coeff_max, the shard count, which shard indices
     are done, and the partial merge.  Re-running a completed shard is a
     no-op; the result file is written (atomically) only once every shard has
-    been folded in, so it is always a complete canonical document.
+    been folded in, so it is always a complete canonical document.  It is
+    written before the sidecar, so an interrupted last shard runs again.
     """
     _check_params(b, coeff_max)
     cp_path = _checkpoint_path(out_path)
@@ -231,16 +229,12 @@ def run_shard_to_checkpoint(b, coeff_max, shards, shard_index, out_path):
     state["partial"] = {str(h): [list(t) for t in form.terms] for h, form in witnesses.items()}
     state["enumerated_count"] += count
     state["completed"] = sorted(set(state["completed"]) | {shard_index})
-    tmp = f"{cp_path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(state, indent=2) + "\n")
-    os.replace(tmp, cp_path)
     done = len(state["completed"]) == shards
     if done:
-        result = GeographyResult(b=b, coeff_max=coeff_max,
-                                 enumerated_count=state["enumerated_count"],
-                                 realized=witnesses)
-        write_result(result, out_path)
+        write_result(GeographyResult(b=b, coeff_max=coeff_max,
+                                     enumerated_count=state["enumerated_count"],
+                                     realized=witnesses), out_path)
+    _write_atomic(cp_path, json.dumps(state, indent=2) + "\n")
     return done
 
 

@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,18 @@ def random_form(rng, b, coeff_max=9):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def run_all_shards(b, coeff_max, shards, out):
+    """Every shard of a checkpointed scan, in an order scrambled by the shard
+    count; only the last call finishes.  Returns the result file's bytes."""
+    from cuphom.geography import run_shard_to_checkpoint
+
+    order = list(range(shards))
+    seeded(shards).shuffle(order)
+    done = [run_shard_to_checkpoint(b, coeff_max, shards, i, out) for i in order]
+    assert done == [False] * (shards - 1) + [True]
+    return Path(out).read_bytes()
 
 
 def signed_permutation(perm, sign=1):

@@ -9,7 +9,7 @@ import time
 from contextlib import contextmanager
 from math import comb
 
-from conftest import random_form, seeded, signed_permutation
+from conftest import random_form, run_all_shards, seeded, signed_permutation
 
 from cuphom.combinatorics import euler_sum, lower_bound_L, verify_identities
 from cuphom.cup_complex import boundary_rows, verify_d_squared
@@ -226,11 +226,10 @@ def test_c4_geography():
 
 def test_c5_shard_determinism(tmp_path):
     with criterion("criterion 5: 1-shard and 8-shard scans are byte-identical"):
-        one, eight = tmp_path / "one.json", tmp_path / "eight.json"
-        write_result(geography_scan(4, 1, shards=1), one)
-        write_result(geography_scan(4, 1, shards=8), eight)
-        assert one.read_bytes() == eight.read_bytes()
-        one3, eight3 = tmp_path / "one3.json", tmp_path / "eight3.json"
-        write_result(geography_scan(3, 2, shards=1), one3)
-        write_result(geography_scan(3, 2, shards=8), eight3)
-        assert one3.read_bytes() == eight3.read_bytes()
+        # Checkpointed runs in scrambled shard order, each against the one-pass scan.
+        for b, coeff_max in ((4, 1), (3, 2)):
+            one = run_all_shards(b, coeff_max, 1, tmp_path / f"one{b}.json")
+            eight = run_all_shards(b, coeff_max, 8, tmp_path / f"eight{b}.json")
+            direct = tmp_path / f"direct{b}.json"
+            write_result(geography_scan(b, coeff_max), direct)
+            assert one == eight == direct.read_bytes()

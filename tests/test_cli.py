@@ -204,6 +204,25 @@ def test_geography_sharded_cli(tmp_path, capsys):
     assert out.read_bytes() == direct.read_bytes()
 
 
+def test_geography_shards_without_shard_exit2(tmp_path, capsys):
+    # Shards run only as separate checkpointed invocations.
+    out = tmp_path / "b4.json"
+    assert main(["geography", "--b", "4", "--coeff-max", "1", "--out", str(out),
+                 "--shards", "3"]) == 2
+    assert "--shards needs --shard" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("shards, shard, message", [("0", "0", "shard count must be >= 1"),
+                                                    ("3", "3", "shard index out of range")])
+def test_geography_bad_shard_exit2(tmp_path, capsys, shards, shard, message):
+    out = tmp_path / "b4.json"
+    assert main(["geography", "--b", "4", "--coeff-max", "1", "--out", str(out),
+                 "--shards", shards, "--shard", shard]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_output_matches_golden(tmp_path, capsys):
     # Exit code and stdout, byte for byte, of compute (text, --json,
     # --prime), verify (default primes, --primes 2,7) and h on four forms.

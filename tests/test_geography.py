@@ -4,13 +4,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import seeded
+from conftest import run_all_shards, seeded
 
+import cuphom.geography as geography
 from cuphom.exterior import blade_basis
 from cuphom.forms import ThreeForm, connected_sum, serialize_form, trivial
 from cuphom.geography import (GeographyResult, check_reducible_constraints,
-                              geography_scan,
-                              run_shard_to_checkpoint, witness_key, write_result)
+                              geography_scan, result_document,
+                              run_shard_to_checkpoint, scan_shard, witness_key, write_result)
 from cuphom.homology import h_rank
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -56,19 +57,26 @@ def test_doubling_closure_constructive():
         assert 2 * h in res4.realized
 
 
-def test_shard_merge_independence():
-    base = geography_scan(4, 1, shards=1)
+def _result_of(path):
+    """The enumerated count and h -> witness map of a result document."""
+    doc = json.loads(Path(path).read_text())
+    return doc["enumerated_count"], {
+        e["h"]: ThreeForm(e["witness"]["rank"], tuple(map(tuple, e["witness"]["terms"])))
+        for e in doc["realized"]}
+
+
+def test_shard_merge_independence(tmp_path):
+    base = geography_scan(4, 1)
     for shards in (2, 3, 8):
-        other = geography_scan(4, 1, shards=shards)
-        assert other.enumerated_count == base.enumerated_count
-        assert other.realized == base.realized
+        out = tmp_path / f"b4-{shards}.json"
+        run_all_shards(4, 1, shards, out)
+        assert _result_of(out) == (base.enumerated_count, base.realized)
 
 
 def test_result_files_byte_identical(tmp_path):
-    p1, p8 = tmp_path / "one.json", tmp_path / "eight.json"
-    write_result(geography_scan(4, 1, shards=1), p1)
-    write_result(geography_scan(4, 1, shards=8), p8)
-    assert p1.read_bytes() == p8.read_bytes()
+    one = run_all_shards(4, 1, 1, tmp_path / "one.json")
+    eight = run_all_shards(4, 1, 8, tmp_path / "eight.json")
+    assert one == eight
 
 
 def test_result_file_round_trip(tmp_path):
@@ -105,24 +113,33 @@ def test_checkpoint_rejects_parameter_mismatch(tmp_path):
         run_shard_to_checkpoint(4, 1, 5, 1, out)
 
 
-def test_scan_validation():
+def test_scan_validation(tmp_path):
     with pytest.raises(ValueError):
         geography_scan(0, 1)
     with pytest.raises(ValueError):
         geography_scan(7, 1)
     with pytest.raises(ValueError):
         geography_scan(3, 0)
-    with pytest.raises(ValueError):
-        geography_scan(3, 1, shards=0)
+    # The shard count is checked before the shard index.
+    out = tmp_path / "b3.json"
+    for shards, index in ((0, 0), (0, 1), (-1, 0)):
+        with pytest.raises(ValueError, match="shard count must be >= 1"):
+            scan_shard(3, 1, shards, index)
+        with pytest.raises(ValueError, match="shard count must be >= 1"):
+            run_shard_to_checkpoint(3, 1, shards, index, out)
+    for index in (-1, 2):
+        with pytest.raises(ValueError, match="shard index out of range"):
+            run_shard_to_checkpoint(3, 1, 2, index, out)
+    assert list(tmp_path.iterdir()) == []
 
 
-def test_more_shards_than_prefixes():
+def test_more_shards_than_prefixes(tmp_path):
     # Surplus shards are empty; the merged result is unchanged.
-    base = geography_scan(3, 1)
-    wide = geography_scan(3, 1, shards=200)
-    assert wide.realized == base.realized
-    assert wide.enumerated_count == base.enumerated_count
-    assert geography_scan(1, 1, shards=4).realized == {1: trivial(1)}
+    wide = run_all_shards(3, 1, 200, tmp_path / "wide.json")
+    assert wide.decode() == result_document(geography_scan(3, 1))
+    b1 = tmp_path / "b1.json"
+    run_all_shards(1, 1, 4, b1)
+    assert _result_of(b1)[1] == {1: trivial(1)}
 
 
 def test_reducible_constraints_b4():
@@ -141,15 +158,54 @@ def test_reducible_constraints_reject_large_rank():
 @pytest.mark.parametrize("b, coeff_max", [(3, 2), (4, 1), (4, 2)])
 def test_result_documents_match_golden(b, coeff_max, tmp_path):
     # Documents pinned before witnesses were chosen by key instead of by
-    # serialized document; every shard schedule must still reproduce them.
+    # serialized document; the one-pass scan and every shard schedule must
+    # still reproduce them.
     want = (GOLDEN / f"geography_b{b}_c{coeff_max}.json").read_bytes()
+    direct = tmp_path / "direct.json"
+    write_result(geography_scan(b, coeff_max), direct)
+    assert direct.read_bytes() == want
     for shards in (1, 8, 81):
-        path = tmp_path / f"direct-{shards}.json"
-        write_result(geography_scan(b, coeff_max, shards=shards), path)
-        assert path.read_bytes() == want
+        assert run_all_shards(b, coeff_max, shards, tmp_path / f"sharded-{shards}.json") == want
     out = tmp_path / "checkpointed.json"
     for i in reversed(range(8)):
         run_shard_to_checkpoint(b, coeff_max, 8, i, out)
+    assert out.read_bytes() == want
+
+
+class Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("order", [[0], [2, 0, 1]])
+@pytest.mark.parametrize("interrupted_write", [0, 1])
+def test_interrupted_last_call_finishes_on_rerun(tmp_path, monkeypatch, order, interrupted_write):
+    # The last call makes two atomic writes, the result and the sidecar.  The
+    # run dies inside one of them, leaving half a temporary file; running
+    # every shard again must finish the scan with the golden bytes.
+    want = (GOLDEN / "geography_b4_c1.json").read_bytes()
+    out, shards = tmp_path / "b4.json", len(order)
+    for i in order[:-1]:
+        assert run_shard_to_checkpoint(4, 1, shards, i, out) is False
+    writes = []
+    real_write = geography._write_atomic
+
+    def dying_write(path, text):
+        writes.append(path)
+        if len(writes) - 1 == interrupted_write:
+            Path(f"{path}.tmp").write_text(text[: len(text) // 2], encoding="utf-8")
+            raise Interrupted(path)
+        real_write(path, text)
+
+    monkeypatch.setattr(geography, "_write_atomic", dying_write)
+    with pytest.raises(Interrupted):
+        run_shard_to_checkpoint(4, 1, shards, order[-1], out)
+    monkeypatch.undo()
+    assert len(writes) == interrupted_write + 1
+    assert [run_shard_to_checkpoint(4, 1, shards, i, out) for i in order] == \
+        [False] * (shards - 1) + [True]
+    assert out.read_bytes() == want
+    # Every call after the finishing one is a no-op.
+    assert run_shard_to_checkpoint(4, 1, shards, order[0], out) is False
     assert out.read_bytes() == want
 
 
