@@ -9,7 +9,7 @@ import sys
 
 from . import combinatorics, geography
 from .cup_complex import dump_boundary_matrices, verify_d_squared
-from .forms import (FormError, builtin_family, connected_sum, parse_form,
+from .forms import (FormError, _write_atomic, builtin_family, connected_sum, parse_form,
                     serialize_form)
 from .homology import (AbelianGroup, common_dim, cup_homology, h_rank,
                        mod_p_degree_dims, uct_check)
@@ -27,11 +27,6 @@ def _load_form(path):
     except OSError as e:
         raise FormError(f"cannot read {path}: {e}") from None
     return parse_form(text)
-
-
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
 
 
 def _cmd_compute(args):
@@ -79,7 +74,7 @@ def _cmd_h(args):
 
 def _cmd_sum(args):
     f = connected_sum(_load_form(args.form1), _load_form(args.form2))
-    _write_text(args.out, serialize_form(f))
+    _write_atomic(args.out, serialize_form(f))
     return EXIT_OK
 
 
@@ -90,7 +85,7 @@ def _cmd_builtin(args):
         if value is not None:
             params[name] = value
     f = builtin_family(args.family, **params)
-    _write_text(args.out, serialize_form(f))
+    _write_atomic(args.out, serialize_form(f))
     return EXIT_OK
 
 
@@ -208,10 +203,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except FormError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (OSError, ValueError) as e:
+    except (OSError, ValueError) as e:  # FormError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

@@ -22,6 +22,7 @@ skew-symmetric once each column is renamed to the row of its complement
 and signed; :func:`skew_rows` gives it in that form, for the Q-rank.
 """
 
+import os
 from array import array
 from functools import lru_cache
 from itertools import chain, combinations, repeat
@@ -30,6 +31,7 @@ from operator import add, itemgetter, mul
 
 from .exact_linalg import sparse_product
 from .exterior import blade_basis
+from .forms import _write_atomic
 from .report import CheckReport
 
 
@@ -65,7 +67,10 @@ def _entry_table(b, k):
     """
     row_index = {blade: i for i, blade in enumerate(blade_basis(b, k - 3))}
     slots = _triple_slots(b)
-    runs = [([], []) for _ in slots]  # per slot: (+1 entries, -1 entries)
+    # Two-byte indices: forms.MAX_RANK keeps every blade index below
+    # C(16, 8) = 12870 < 2^16.  The tables are kept for the life of the
+    # process, and at b = 11 they already hold 42k entries.
+    halves = [(array("H"), array("H")) for _ in range(2 * len(slots))]
     # Per choice of triple positions: getters for the triple and the rest of
     # a blade, and whether the entry is -mu(t) (the 1-based positions sum
     # to pos sum + 3, flipping the parity).
@@ -74,17 +79,14 @@ def _entry_table(b, k):
                 for pos in combinations(range(k), 3)]
     for c, blade in enumerate(blade_basis(b, k)):
         for triple, rest, minus in patterns:
-            runs[slots[triple(blade)]][minus].append((row_index[rest(blade)], c))
-    # Two-byte indices: forms.MAX_RANK keeps every blade index below
-    # C(16, 8) = 12870 < 2^16.  The tables are kept for the life of the
-    # process, and at b = 11 they already hold 42k entries.
+            half_rows, half_cols = halves[2 * slots[triple(blade)] + minus]
+            half_rows.append(row_index[rest(blade)])
+            half_cols.append(c)
     rows, cols, starts = array("H"), array("H"), array("L", [0])
-    for run in runs:
-        for entries in run:
-            for r, c in entries:
-                rows.append(r)
-                cols.append(c)
-            starts.append(len(rows))
+    for half_rows, half_cols in halves:
+        rows += half_rows
+        cols += half_cols
+        starts.append(len(rows))
     return rows, cols, starts
 
 
@@ -258,14 +260,11 @@ def render_matrix_grid(rows, n_cols):
 
 
 def dump_boundary_matrices(f, directory):
-    """Write every boundary matrix as a text grid for external cross-checks."""
-    import os
-
+    """Write each d_k as a text grid to ``directory/boundary_<k>.txt``, for external
+    cross-checks, one whole file at a time (:func:`cuphom.forms._write_atomic`)."""
     os.makedirs(directory, exist_ok=True)
     paths = []
     for k in range(3, f.rank + 1):
-        path = os.path.join(directory, f"boundary_{k}.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(render_matrix_grid(boundary_rows(f, k), comb(f.rank, k)))
-        paths.append(path)
+        paths.append(os.path.join(directory, f"boundary_{k}.txt"))
+        _write_atomic(paths[-1], render_matrix_grid(boundary_rows(f, k), comb(f.rank, k)))
     return paths

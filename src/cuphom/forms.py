@@ -7,6 +7,7 @@ triangulation.
 """
 
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -127,6 +128,23 @@ def serialize_form(f):
     """
     doc = {"rank": f.rank, "terms": [list(t) for t in f.terms]}
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _write_atomic(path, text):
+    """Write ``text`` to ``path`` as UTF-8, whole or not at all: every file cuphom writes.
+
+    The text goes to a temporary file next to ``path``, named for this process, which
+    ``os.replace`` then moves over ``path``.  If either step raises, ``path`` keeps its
+    old bytes and the temporary file is removed; no two processes share one.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def trivial(b):

@@ -21,8 +21,8 @@ from functools import lru_cache
 from itertools import product
 
 from .exterior import blade_basis
-from .forms import (FormError, ThreeForm, _support_pieces, _trusted_form, serialize_form,
-                    transform)
+from .forms import (FormError, ThreeForm, _support_pieces, _trusted_form, _write_atomic,
+                    serialize_form, transform)
 from .homology import h_rank
 from .report import CheckReport
 
@@ -132,13 +132,6 @@ def result_document(result):
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _write_atomic(path, text):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def write_result(result, path):
     """Atomic write of the canonical result document."""
     _write_atomic(path, result_document(result))
@@ -163,8 +156,8 @@ def _load_checkpoint(cp_path, params):
     :func:`run_shard_to_checkpoint` writes: an object with every field of its
     JSON type and the same params, ``completed`` a list of distinct shard
     indices in ``range(shards)``, ``enumerated_count`` the number of forms in
-    those shards and ``partial`` a map from decimal h to the valid terms of a
-    rank-b witness.
+    those shards and ``partial`` a map from decimal h to terms that
+    :class:`~cuphom.forms.ThreeForm` accepts for a rank-b witness.
     """
     with open(cp_path, encoding="utf-8") as fh:
         state = json.load(fh)
@@ -191,14 +184,9 @@ def _load_checkpoint(cp_path, params):
     for h, terms in state["partial"].items():
         if not (h.isascii() and h.isdecimal()):
             raise ValueError(f"checkpoint {cp_path}: 'partial' key {h!r} is not a decimal h")
-        if (type(terms) is not list
-                or not all(type(t) is list and len(t) == 4 and all(type(x) is int for x in t)
-                           for t in terms)):
-            raise ValueError(f"checkpoint {cp_path}: 'partial' entry for h = {h} is not "
-                             "a list of [i, j, k, a] integer quadruples")
         try:
-            form = ThreeForm(b, tuple(map(tuple, terms)))
-        except FormError as e:
+            form = ThreeForm(b, terms)
+        except (FormError, TypeError) as e:  # TypeError: terms, or a term, not a sequence
             raise ValueError(f"checkpoint {cp_path}: witness for h = {h}: {e}") from None
         realized[int(h)] = (witness_key(form), form)
     return state, realized

@@ -1,13 +1,14 @@
 import json
+import os
 import time
 from pathlib import Path
 
 import pytest
 
 from cuphom.cli import main
-from cuphom.cup_complex import boundary_rows
-from cuphom.forms import (ThreeForm, mapping_torus, parse_form, serialize_form, surface_circle,
-                          torus3, trivial)
+from cuphom.cup_complex import boundary_rows, skew_rows
+from cuphom.forms import (ThreeForm, connected_sum, mapping_torus, parse_form, serialize_form,
+                          surface_circle, torus3, trivial)
 from cuphom.geography import geography_scan
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -94,6 +95,61 @@ def test_builtin_command(tmp_path):
     out2 = tmp_path / "mt.json"
     assert main(["builtin", "mapping_torus", "--w", "1", "--v0", "2", "-o", str(out2)]) == 0
     assert parse_form(out2.read_text()).rank == 5
+
+
+def _replace_failing_at(call):
+    """os.replace that raises OSError on its ``call``-th call (1-based)."""
+    calls, real_replace = [], os.replace
+
+    def replace(src, dst):
+        calls.append(dst)
+        if len(calls) == call:
+            raise OSError(f"interrupted before {dst}")
+        real_replace(src, dst)
+
+    return replace
+
+
+def test_interrupted_sum_and_builtin_keep_the_old_file(tmp_path, capsys, monkeypatch):
+    # -o onto an existing form file: a write that dies keeps the old bytes and
+    # exits 2; a whole write replaces them.  Neither leaves a temporary file.
+    a = write_form(tmp_path / "a.json", torus3(1))
+    b = write_form(tmp_path / "b.json", trivial(1))
+    out = tmp_path / "out.json"
+    old = serialize_form(surface_circle(2)).encode()
+    for argv, want in ((["sum", a, b], connected_sum(torus3(1), trivial(1))),
+                       (["builtin", "torus3", "--n", "2"], torus3(2))):
+        out.write_bytes(old)
+        with monkeypatch.context() as m:
+            m.setattr(os, "replace", _replace_failing_at(1))
+            assert main([*argv, "-o", str(out)]) == 2
+        assert "interrupted" in capsys.readouterr().err
+        assert out.read_bytes() == old
+        assert main([*argv, "-o", str(out)]) == 0
+        assert out.read_text() == serialize_form(want)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.json", "b.json", "out.json"]
+
+
+def test_interrupted_dump_keeps_each_old_grid_whole(tmp_path, capsys, monkeypatch):
+    # A second --dump-matrices into the same directory dies at its second
+    # file: boundary_3 is the new grid, boundary_4 and _5 are the old ones.
+    first, second = surface_circle(2), ThreeForm(5, ((1, 2, 3, 2), (2, 4, 5, -1)))
+    grids = {}
+    for name, f in (("first", first), ("second", second)):
+        assert main(["compute", write_form(tmp_path / f"{name}.json", f),
+                     "--dump-matrices", str(tmp_path / name)]) == 0
+        grids[name] = {p.name: p.read_bytes() for p in (tmp_path / name).iterdir()}
+    assert sorted(grids["first"]) == [f"boundary_{k}.txt" for k in (3, 4, 5)]
+    assert grids["first"] != grids["second"]
+    dump = tmp_path / "dump"
+    assert main(["compute", str(tmp_path / "first.json"), "--dump-matrices", str(dump)]) == 0
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", _replace_failing_at(2))
+        assert main(["compute", str(tmp_path / "second.json"), "--dump-matrices",
+                     str(dump)]) == 2
+    assert "interrupted" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in dump.iterdir()} == \
+        {**grids["first"], "boundary_3.txt": grids["second"]["boundary_3.txt"]}
 
 
 def test_builtin_wrong_params_exit2(tmp_path, capsys):
@@ -252,17 +308,22 @@ def test_each_map_eliminated_once_per_ring(tmp_path, capsys, monkeypatch):
         rank_seen.append((characteristic, [dict(r) for r in rows]))
         return real_rank(rows, characteristic)
 
-    def counted_q(rows):
-        q_seen.append([dict(r) for r in rows])
-        return real_q(rows)
+    def counted_q(rows, skew=False):
+        q_seen.append((skew, [dict(r) for r in rows]))
+        return real_q(rows, skew)
 
     monkeypatch.setattr(hom, "smith_normal_form", counted_snf)
     monkeypatch.setattr(hom, "rank_over_field", counted_rank)
     monkeypatch.setattr(hom, "q_rank_bound", counted_q)
 
-    for f, h, h_2 in ((surface_circle(3), 35, 36), (mapping_torus(3, 1), 70, 72)):
+    # b = 7, 8 and 9; at b = 9 = 1 mod 4 the self-dual d_6 is bounded in its skew form.
+    for f, h, h_2 in ((surface_circle(3), 35, 36), (mapping_torus(3, 1), 70, 72),
+                      (surface_circle(4), 126, 136)):
         path = write_form(tmp_path / "f.json", f)
         kept = range(3, (f.rank + 3) // 2 + 1)
+        q_inputs = [(False, boundary_rows(f, k)) for k in kept]
+        if f.rank % 4 == 1:
+            q_inputs[-1] = (True, skew_rows(f))  # the middle map, 2k = b + 3
 
         def expect_ranks(primes):
             return sorted(((p, boundary_rows(f, k, p)) for p in primes for k in kept), key=repr)
@@ -287,7 +348,7 @@ def test_each_map_eliminated_once_per_ring(tmp_path, capsys, monkeypatch):
         assert main(["h", path]) == 0
         assert capsys.readouterr().out == f"h = {h}\n"
         assert snf_seen == [] and rank_seen == []
-        assert sorted(q_seen, key=repr) == sorted((boundary_rows(f, k) for k in kept), key=repr)
+        assert sorted(q_seen, key=repr) == sorted(q_inputs, key=repr)
 
 
 def test_verify_reports_a_broken_complex(tmp_path, capsys, monkeypatch, broken_d6):
@@ -324,7 +385,23 @@ def test_sum_then_verify_applies_the_connected_sum_bound(tmp_path, capsys):
                                      '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [], '
                                      '"enumerated_count": -100, "partial": {}}',
                                      '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [1], '
-                                     '"enumerated_count": 2, "partial": {}}'])
+                                     '"enumerated_count": 2, "partial": {}}',
+                                     # A repeated index, and one past the shard count; each
+                                     # with the count its indices would give.
+                                     '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [0, 0], '
+                                     '"enumerated_count": 4, "partial": {}}',
+                                     '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [2], '
+                                     '"enumerated_count": 1, "partial": {}}',
+                                     # A non-decimal h, then witnesses ThreeForm refuses: a
+                                     # triple out of range, a zero and a boolean coefficient.
+                                     '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [], '
+                                     '"enumerated_count": 0, "partial": {"x4": [[1, 2, 3, 1]]}}',
+                                     '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [], '
+                                     '"enumerated_count": 0, "partial": {"4": [[1, 2, 4, 1]]}}',
+                                     '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [], '
+                                     '"enumerated_count": 0, "partial": {"4": [[1, 2, 3, 0]]}}',
+                                     '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [], '
+                                     '"enumerated_count": 0, "partial": {"4": [[1, 2, 3, true]]}}'])
 def test_malformed_checkpoint_exit2(tmp_path, capsys, sidecar):
     out = tmp_path / "b3.json"
     cp = tmp_path / "b3.json.checkpoint.json"

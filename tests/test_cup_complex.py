@@ -1,5 +1,6 @@
 from array import array
 from math import comb
+from pathlib import Path
 from time import perf_counter
 
 import pytest
@@ -293,7 +294,7 @@ def test_render_matrix_grid():
 def test_dump_boundary_matrices(tmp_path):
     paths = dump_boundary_matrices(torus3(2), tmp_path / "dump")
     assert len(paths) == 1
-    assert open(paths[0]).read() == "2\n"
+    assert Path(paths[0]).read_text() == "2\n"
     # Every dumped file is the contraction oracle's dense matrix as a grid.
     rng = seeded(99)
     for n, f in enumerate([surface_circle(2), torus3(4), random_form(rng, 6),
@@ -302,4 +303,4 @@ def test_dump_boundary_matrices(tmp_path):
         assert len(paths) == max(f.rank - 2, 0)
         for k, path in zip(range(3, f.rank + 1), paths):
             grid = "".join(" ".join(map(str, row)) + "\n" for row in contraction_matrix(f, k))
-            assert open(path).read() == grid
+            assert Path(path).read_text() == grid

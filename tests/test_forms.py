@@ -1,3 +1,4 @@
+import os
 from itertools import product
 
 import pytest
@@ -5,8 +6,8 @@ import pytest
 from conftest import random_form, seeded, signed_permutation
 
 from cuphom.exterior import blade_basis
-from cuphom.forms import (FormError, ThreeForm, _trusted_form, builtin_family, connected_sum,
-                          mapping_torus, parse_form, reduce_mod_p, serialize_form,
+from cuphom.forms import (FormError, ThreeForm, _trusted_form, _write_atomic, builtin_family,
+                          connected_sum, mapping_torus, parse_form, reduce_mod_p, serialize_form,
                           surface_circle, torus3, transform, trivial)
 from cuphom.geography import witness_key
 
@@ -201,3 +202,45 @@ def test_trusted_form_equals_validated(b):
         trusted, checked = _trusted_form(b, terms), ThreeForm(b, terms)
         assert trusted == checked and hash(trusted) == hash(checked)
         assert trusted.coeffs == checked.coeffs and trusted.terms == checked.terms
+
+
+def test_atomic_write_uses_a_temporary_file_of_its_own_process(tmp_path, monkeypatch):
+    # Each writer moves a file named for its process over the target, leaves
+    # another process's half-written file alone, and leaves no file of its own.
+    target = tmp_path / "f.json"
+    other = tmp_path / f"f.json.{os.getpid() + 1}.tmp"
+    other.write_text("half")
+    moved, real_replace = [], os.replace
+
+    def recording_replace(src, dst):
+        moved.append(src)
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    _write_atomic(target, "one\n")
+    with monkeypatch.context() as m:
+        m.setattr(os, "getpid", lambda: 4242)
+        _write_atomic(target, "two\n")
+    assert moved == [f"{target}.{os.getpid()}.tmp", f"{target}.4242.tmp"]
+    assert target.read_text() == "two\n" and other.read_text() == "half"
+    assert sorted(tmp_path.iterdir()) == [target, other]
+
+
+@pytest.mark.parametrize("fail", ["replace", "write"])
+def test_interrupted_atomic_write_keeps_the_target(tmp_path, monkeypatch, fail):
+    # The move fails, or the write does (a lone surrogate cannot be encoded):
+    # the old bytes stay, the error reaches the caller, no file is left.
+    target = tmp_path / "f.json"
+    target.write_bytes(b"old\n")
+    text = "new\n" * 1000
+    if fail == "replace":
+        def failing_replace(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+    else:
+        text += "\ud800"
+    with pytest.raises((OSError, UnicodeEncodeError)):
+        _write_atomic(target, text)
+    assert target.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [target]

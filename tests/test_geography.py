@@ -1,4 +1,5 @@
 import json
+import os
 from math import comb
 from pathlib import Path
 
@@ -192,7 +193,7 @@ def test_interrupted_last_call_finishes_on_rerun(tmp_path, monkeypatch, order, i
     def dying_write(path, text):
         writes.append(path)
         if len(writes) - 1 == interrupted_write:
-            Path(f"{path}.tmp").write_text(text[: len(text) // 2], encoding="utf-8")
+            Path(f"{path}.{os.getpid()}.tmp").write_text(text[: len(text) // 2], encoding="utf-8")
             raise Interrupted(path)
         real_write(path, text)
 
