@@ -17,25 +17,30 @@ one diagonal step at a time: a single scan for the smallest pivot, Euclid
 down the pivot column with row operations, then column operations on the
 pivot row alone (the pivot column is zero elsewhere by then), and the
 pivot row and column are cut out of the block.  The Q-rank has one entry
-point, :func:`q_rank_bound`: it bounds the block from below by its rank
-modulo the fixed prime :data:`BOUND_PRIME` and hands back a finisher, for
-the caller to run only when the bound is not known to be exact
-(:func:`cuphom.homology._q_ranks` decides).  The finisher runs the same
-kernel with any pivot, fraction-free on the sparse rows, except for a
-dense block of a skew-symmetric matrix: there the unit pivots come in
-mirrored pairs, so the block left is skew, and :func:`_pfaffian_rank`
-eliminates its upper triangle two ranks at a time, with 2×2 pivots and
-exact divisions.
+point, :func:`q_rank_bound`.  Its unit phase makes the same sparse-to-dense
+switch as :func:`_rank_mod_p`: it stops once the rows left are dense, as
+dense unit pivots grow entries of tens of bits.  It bounds the rows left
+from below by their rank modulo the fixed prime :data:`BOUND_PRIME` and
+hands back a finisher, for the caller to run only when the bound is not
+known to be exact (:func:`cuphom.homology._q_ranks` decides).  The finisher
+resumes the unit phase, then runs the same kernel with any pivot,
+fraction-free on the sparse rows, except for a dense block of a
+skew-symmetric matrix: there the unit pivots come in mirrored pairs, so the
+block left is skew, and :func:`_pfaffian_rank` eliminates its upper
+triangle two ranks at a time, with 2×2 pivots and exact divisions.
 
 Every rank over F_p, that bound's included, runs one kernel,
-:func:`_rank_mod_p`: XOR bit rows over F_2; for odd p sparse pivoting,
-then, once the live block is dense, rows packed into S-bit slots of one
-integer, with cap·(p-1)^2 + (p-1) < 2^S for a block of cap pivots.  It
-shares no code with the unit phase or Smith normal form, so the checks
-that compare F_p ranks with Smith normal form stay independent.
+:func:`_rank_mod_p`: XOR bit rows over F_2; for odd p sparse pivoting, with
+the rows in a heap by length and a column index so that a pivot touches
+only the rows holding its column, then, once the live block is dense, rows
+packed into S-bit slots of one integer, with cap·(p-1)^2 + (p-1) < 2^S for
+a block of cap pivots.  It shares no code with the unit phase or Smith
+normal form, so the checks that compare F_p ranks with Smith normal form
+stay independent.
 """
 
 from array import array
+from collections import defaultdict
 from heapq import heapify, heappop, heappush
 from math import gcd
 from sys import byteorder
@@ -192,7 +197,7 @@ def _has_unit(row):
     return 1 in values or -1 in values
 
 
-def _eliminate(rows, paired=False, any_pivot=False):
+def _eliminate(rows, paired=False, any_pivot=False, stop=False):
     """Sparse elimination over Z; returns (pivots eliminated, residual rows).
 
     While some entry is ±1, take the shortest row holding one (the lowest row
@@ -216,6 +221,14 @@ def _eliminate(rows, paired=False, any_pivot=False):
     whose row has since been eliminated, changed length or stopped being a
     candidate is skipped when popped, and every changed candidate is pushed
     again.  ``rows`` is consumed.
+
+    ``stop`` ends the phase before a pivot once the rows have turned dense:
+    the shortest candidate row holds at least 16 entries and at least an
+    eighth of the columns not yet pivoted, the packing switch of
+    :func:`_rank_mod_p`, and it is not the last row.  The residual then still holds unit entries, and a
+    second call on it resumes the phase: the pivots depend only on row
+    lengths, the order of the rows and the entries per column, which the
+    residual keeps.
 
     ``paired`` is for a skew-symmetric matrix whose row i and column i carry
     the same label i.  Each pivot (r, c) is then followed by its mirror
@@ -255,6 +268,8 @@ def _eliminate(rows, paired=False, any_pivot=False):
             prow = live.get(pi)
             if prow is None or len(prow) != n or not candidate(prow):
                 continue
+            if stop and n >= 16 and 8 * n >= len(col_rows) and len(live) > 1:
+                break
             del live[pi]
             least = (1, -1)
             if any_pivot:
@@ -380,53 +395,86 @@ def _pfaffian_rank(rows):
 def q_rank_bound(rows, skew=False):
     """Lower bound on the rank over Q, and how to finish it; consumes ``rows``.
 
-    Returns ``(bound, finish)``.  The unit phase of :func:`_eliminate`
-    goes first; if it leaves a residual, the bound is the unit count plus
-    the rank of the residual modulo :data:`BOUND_PRIME`.  The bound never
-    exceeds rank_Q: the unit phase is unimodular, so it keeps the rank over
-    Q and over F_p, and a rank can only drop modulo a prime.  ``finish`` is
-    None when the bound is the rank: the residual is empty, or its rank
-    modulo the prime reaches the smaller dimension, which no rank can exceed.
-    Otherwise ``finish()`` eliminates the kept residual fraction-free and
-    returns the exact rank.  An unlucky prime only lowers the bound, so the
-    exact finish decides; the prime affects speed, never a rank.
+    Returns ``(bound, finish)``.  The unit phase of :func:`_eliminate` goes
+    first, with its dense stop: it ends where it has eliminated every unit,
+    or before a pivot once the rows left are dense (``stop``).  If rows are
+    left, the bound is the unit count plus their rank modulo
+    :data:`BOUND_PRIME`.  The bound never exceeds rank_Q: the unit phase is
+    unimodular, so it keeps the rank over Q and over F_p, and a rank can
+    only drop modulo a prime.  For the same reason the bound does not depend
+    on where the unit phase stopped.  ``finish`` is None when the bound is
+    the rank: nothing is left, or the rank modulo the prime reaches the
+    smaller dimension of the rows left, which no rank can exceed (rule (a)).
+    Otherwise ``finish()`` resumes the unit phase on the rows left, checks
+    rule (a) again on the residual, and only if that fails eliminates it
+    exactly and returns the rank.  An unlucky prime only lowers the bound,
+    so the exact finish decides; the prime affects speed, never a rank.
+
+    The stop pays for maps that a certificate then decides: a dense block
+    grows entries of tens of bits in the unit phase, while its rank modulo
+    the prime costs one packed elimination.  A map left open pays that rank
+    on a larger block, and then the rest of the unit phase anyway.
 
     ``skew`` says that the rows form a skew-symmetric matrix whose row i and
     column i carry one label (:func:`cuphom.cup_complex.skew_rows`).  Unit
     pivots then come in mirrored pairs, so the residual is skew as well, and
     a skew rank is even: a residual of s rows is certified once its rank
-    modulo the prime is at least s - 1.  An open residual that is dense (at
-    least s^2/8 entries, the switch of :func:`_rank_mod_p`) is finished by
-    :func:`_pfaffian_rank`; a sparse one, like every other matrix, by the
-    unit kernel with any pivot, whose sparse pivots keep fill-in low.
+    modulo the prime is at least s - 1.  This unit phase does not stop.  The
+    skew map is the self-dual middle map of :func:`cuphom.homology._q_ranks`,
+    and rule (b) there seldom certifies it: at b = 9 never, as it would need
+    rank d_6 = 84 - rank d_3 = 83 for a nonzero form, an odd rank.  So it is
+    certified by rule (a) after its whole unit phase or finished, and a stop
+    would only add a larger rank modulo the prime.  An open residual that
+    is dense (at least s^2/8 entries, the switch of :func:`_rank_mod_p`) is
+    finished by :func:`_pfaffian_rank`; a sparse one, like every other
+    matrix, by the unit kernel with any pivot, whose sparse pivots keep
+    fill-in low.
     """
-    units, rest = _eliminate(rows, paired=skew)
+    units, rest = _eliminate(rows, paired=skew, stop=not skew)
     if not rest:
         return units, None
     p = BOUND_PRIME
-    bound = _rank_mod_p([{j: v % p for j, v in r.items() if v % p} for r in rest], p)
-    cap = min(len(rest), len({j for r in rest for j in r}))
-    if bound == (cap - cap % 2 if skew else cap):
-        return units + bound, None
-    dense = skew and 8 * sum(map(len, rest)) >= cap * cap
-    return units + bound, lambda: units + (_pfaffian_rank(rest) if dense else
-                                           _eliminate(rest, any_pivot=True)[0])
+    bound = units + _rank_mod_p([{j: v % p for j, v in r.items() if v % p} for r in rest], p)
+    if bound - units == _most_rank(rest, skew):
+        return bound, None
+
+    def finish():
+        more, left = _eliminate(rest)  # a skew residual holds no unit
+        if bound - units - more == _most_rank(left, skew):
+            return bound
+        if skew and 8 * sum(map(len, left)) >= len(left) ** 2:
+            return units + more + _pfaffian_rank(left)
+        return units + more + _eliminate(left, any_pivot=True)[0]
+    return bound, finish
+
+
+def _most_rank(rows, skew):
+    """The largest rank that a matrix of these nonempty rows can have (even, if skew)."""
+    cap = min(len(rows), len({j for r in rows for j in r}))
+    return cap - cap % 2 if skew else cap
 
 
 def _rank_mod_p(rows, p):
     """Rank over F_p of sparse rows with entries in 1..p-1; consumes ``rows``.
 
     p = 2: each row is an int of bits, reduced into an XOR basis keyed by
-    lowest set bit.  Odd p: shortest-row sparse pivoting until the shortest
-    live row holds at least 16 entries and an eighth of the columns not yet
-    pivoted; then each live row is packed into one integer, a slot per
-    column, and the rows are taken in order.  A packed pivot row is reduced
-    slot-wise mod p and normalised (pivot 1), then each row whose pivot
-    slot is v mod p takes one bigint update ``y += (p - v)·prow``.  Slots
-    are nonnegative and only grow: a row starts below p and takes at most
-    cap updates of at most (p-1)^2 per slot, cap = min(rows, columns) of
-    the packed block.  So no slot carries into the next, for any prime, as
-    its width S bits (the least of 1, 2, 4, 8, 16, ... bytes) satisfies
+    lowest set bit.  Odd p: shortest-row sparse pivoting (the lowest row
+    index on ties, then its lowest column) until the shortest live row
+    holds at least 16 entries and an eighth of the columns not yet pivoted.
+    The live rows wait in a heap keyed by (length, index), stale entries
+    skipped when popped.  At the first pivot, so not for a block that is
+    dense from the start, a column → rows index is built: it may hold rows
+    that have since lost the column, which the pivot skips, and each row a
+    pivot updates joins the pivot row's columns.  So a pivot touches only
+    the rows that may hold its column.  Then each live row is packed into
+    one integer, a slot per column, and the rows are taken in order.  A
+    packed pivot row is reduced slot-wise mod p and normalised (pivot 1),
+    then each row whose pivot slot is v mod p takes one bigint update
+    ``y += (p - v)·prow``.  Slots are nonnegative and only grow: a row
+    starts below p and takes at most cap updates of at most (p-1)^2 per
+    slot, cap = min(rows, columns) of the packed block.  So no slot carries
+    into the next, for any prime, as its width S bits (the least of 1, 2,
+    4, 8, 16, ... bytes) satisfies
 
         cap·(p-1)^2 + (p-1) < 2^S.
     """
@@ -444,34 +492,47 @@ def _rank_mod_p(rows, p):
         return len(basis)
     free = len({j for r in rows for j in r})  # columns not yet pivoted
     rank = 0
-    while len(rows) > 1:
-        lens = list(map(len, rows))
-        short = min(lens)
-        if short >= 16 and 8 * short >= free:
+    live = dict(enumerate(rows))
+    queue = [(len(r), i) for i, r in live.items()]
+    heapify(queue)
+    holding = None  # column -> indices of the rows that may hold it (a superset)
+    while len(live) > 1:
+        n, i = heappop(queue)
+        prow = live.get(i)
+        if prow is None or len(prow) != n:
+            continue
+        if n >= 16 and 8 * n >= free:
             break
-        prow = rows.pop(lens.index(short))
-        pc, pv = min(prow.items())
-        inv = pow(pv, -1, p)
+        if holding is None:
+            holding = defaultdict(set)
+            for r, row in live.items():
+                for j in row:
+                    holding[j].add(r)
+        del live[i]
+        pc = min(prow)
+        inv = pow(prow.pop(pc), -1, p)
         rank += 1
         free -= 1
-        nxt = []
-        for row in rows:
-            rv = row.pop(pc, None)
-            if rv is None:
-                nxt.append(row)
+        touched = []
+        for r in holding.pop(pc):
+            row = live.get(r)
+            if row is None or pc not in row:
                 continue
-            c = rv * inv % p
+            c = row.pop(pc) * inv % p
             for j, v in prow.items():
-                if j == pc:
-                    continue
                 w = (row.get(j, 0) - c * v) % p
                 if w:
                     row[j] = w
                 else:
-                    row.pop(j, None)
+                    del row[j]
             if row:
-                nxt.append(row)
-        rows = nxt
+                heappush(queue, (len(row), r))
+                touched.append(r)
+            else:
+                del live[r]
+        for j in prow:
+            holding[j].update(touched)
+    rows = list(live.values())
     if len(rows) < 2:
         return rank + len(rows)
     at = {j: i for i, j in enumerate(sorted({j for r in rows for j in r}))}

@@ -43,9 +43,13 @@ class ThreeForm:
             raise FormError(f"rank must be a nonnegative integer, got {self.rank!r}")
         if self.rank > MAX_RANK:
             raise FormError(f"rank {self.rank} exceeds the supported maximum {MAX_RANK}")
+        try:
+            given = iter(self.terms)
+        except TypeError:
+            raise FormError(f"terms {self.terms!r} are not a sequence of quadruples") from None
         seen, terms = set(), []
-        for term in self.terms:
-            if (len(term) != 4
+        for term in given:
+            if (not isinstance(term, (tuple, list)) or len(term) != 4
                     or not all(isinstance(x, int) and not isinstance(x, bool) for x in term)):
                 raise FormError(f"term {term!r} is not an integer quadruple [i, j, k, a]")
             i, j, k, a = term

@@ -186,7 +186,7 @@ def _load_checkpoint(cp_path, params):
             raise ValueError(f"checkpoint {cp_path}: 'partial' key {h!r} is not a decimal h")
         try:
             form = ThreeForm(b, terms)
-        except (FormError, TypeError) as e:  # TypeError: terms, or a term, not a sequence
+        except FormError as e:
             raise ValueError(f"checkpoint {cp_path}: witness for h = {h}: {e}") from None
         realized[int(h)] = (witness_key(form), form)
     return state, realized

@@ -8,9 +8,11 @@ d_k with k <= (b+3)/2, is eliminated: the integral groups take one Smith
 normal form per kept map, the field invariants one rank, and each dual map
 d_{b+3-k}, a certified signed transpose of d_k, takes its partner's result
 (:func:`_with_duals`).  Over Q those ranks start as lower bounds modulo a
-fixed prime, and the chain complex itself certifies most of them
-(:func:`_q_ranks`); at b = 1 mod 4 the self-dual middle map is ranked in
-its skew form (:func:`cuphom.cup_complex.skew_rows`).  Whatever the ring,
+fixed prime, taken where the unit phase stops on a dense block, and the
+chain complex itself certifies most of them (:func:`_q_ranks`); only the
+maps it leaves open finish their unit phase.  At b = 1 mod 4 the self-dual
+middle map is ranked in its skew form
+(:func:`cuphom.cup_complex.skew_rows`).  Whatever the ring,
 the per-degree dimensions come from the per-map ranks through the one
 formula of :func:`_dims`.
 """
@@ -159,6 +161,11 @@ def _q_ranks(f):
     ``test_c2a_d_squared_zero`` check the compiled entry tables.  Only the
     maps the rule leaves open are finished exactly.  Any lower bounds
     will do, so a map finished earlier takes part with its exact rank.
+    A bound does not depend on where the unit phase stopped (it is
+    unimodular), so the dense stop changes no decision here: it only moves
+    the rest of the unit phase of a dense map into its finish, which a
+    certified map never runs, and the finish checks rule (a) again on the
+    rows the whole phase leaves before it eliminates exactly.
     Only the kept half is bounded and finished; each dual map takes its
     partner's value (:func:`_with_duals`), so L_{b+3-k} = L_k, the rule sees
     the same zeros for both maps of a pair, and an open pair is finished

@@ -70,9 +70,9 @@ def finishes(monkeypatch):
     seen = dict.fromkeys(FINISHES, 0)
     eliminate, pfaffian = el._eliminate, el._pfaffian_rank
 
-    def counted_eliminate(rows, paired=False, any_pivot=False):
+    def counted_eliminate(rows, paired=False, any_pivot=False, stop=False):
         seen["any_pivot"] += any_pivot
-        return eliminate(rows, paired, any_pivot)
+        return eliminate(rows, paired, any_pivot, stop)
 
     def counted_pfaffian(rows):
         seen["_pfaffian_rank"] += 1

@@ -380,8 +380,12 @@ def test_sum_then_verify_applies_the_connected_sum_bound(tmp_path, capsys):
                                      '"enumerated_count": 0, "partial": {}}',
                                      '{"b": 3, "coeff_max": 1, "shards": 2, "completed": ["x"], '
                                      '"enumerated_count": 0, "partial": {}}',
+                                     # Witness terms that are not a sequence, and a term
+                                     # that is not one.
                                      '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [], '
                                      '"enumerated_count": 0, "partial": {"1": 5}}',
+                                     '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [], '
+                                     '"enumerated_count": 0, "partial": {"1": [5]}}',
                                      '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [], '
                                      '"enumerated_count": -100, "partial": {}}',
                                      '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [1], '

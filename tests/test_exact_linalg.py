@@ -476,10 +476,12 @@ def test_snf_invariant_under_transposition():
         assert smith_normal_form(rows) == smith_normal_form(_transpose(rows)), rows
 
 
-def _min_scan_unit_phase(rows):
+def _min_scan_unit_phase(rows, stop=False):
     """Reference unit phase that picks each pivot row by a ``min`` over every
     remaining row: the shortest row holding a ±1 (the first on ties), then its
-    ±1 column with the fewest rows.  Returns (units, residual rows)."""
+    ±1 column with the fewest rows.  With ``stop`` it ends before a pivot row
+    of at least 16 entries and an eighth of the columns not yet pivoted,
+    unless no other row is left.  Returns (units, residual rows)."""
     rows = {i: dict(r) for i, r in enumerate(rows) if r}
     col_rows = {}
     for i, r in rows.items():
@@ -490,6 +492,9 @@ def _min_scan_unit_phase(rows):
         pi = min((i for i, r in rows.items() if 1 in r.values() or -1 in r.values()),
                  key=lambda i: len(rows[i]), default=None)
         if pi is None:
+            break
+        n = len(rows[pi])
+        if stop and n >= 16 and 8 * n >= len(col_rows) and len(rows) > 1:
             break
         prow = rows.pop(pi)
         pc = min((j for j, v in prow.items() if v in (1, -1)), key=lambda j: len(col_rows[j]))
@@ -568,6 +573,40 @@ def test_unit_kernel_consumes_rows_and_keeps_row_order():
     assert _eliminate([{}, {3: 5}]) == (0, [{3: 5}])
     assert _eliminate([{}, {3: -1, 4: 7}, {}]) == (1, [])
     assert _eliminate([]) == (0, [])
+
+
+def _has_unit_row(rows):
+    return any(1 in r.values() or -1 in r.values() for r in rows)
+
+
+def _stop_then_resume(rows):
+    """The unit phase stopped, against the reference, then resumed on its
+    residual, against the whole phase; returns whether it stopped after a
+    pivot."""
+    whole = _eliminate([dict(r) for r in rows])
+    units, at_stop = _eliminate([dict(r) for r in rows], stop=True)
+    assert (units, at_stop) == _min_scan_unit_phase(rows, stop=True)
+    stopped = _has_unit_row(at_stop)
+    more, residual = _eliminate(at_stop)
+    assert (units + more, residual) == whole
+    return stopped and units > 0
+
+
+def test_stopped_unit_phase_resumes_to_the_whole_phase():
+    # A stop before a dense block, then a second call on the residual, gives
+    # the units and residual of one whole unit phase.  Sparse matrices fill
+    # in under unit pivots until the stop fires, some 20 to 30 pivots in.
+    rng = seeded(2323)
+    stops = 0
+    for _ in range(40):
+        m, n = rng.randint(40, 80), rng.randint(40, 80)
+        rows = [{j: rng.choice((1, -1, 1, 2, -3, 5)) for j in range(n) if rng.random() < 0.15}
+                for _ in range(m)]
+        stops += _stop_then_resume(rows)
+    for f in (random_form(rng, 9), surface_circle(4)):
+        for k in range(3, f.rank + 1):
+            stops += _stop_then_resume(boundary_rows(f, k))
+    assert stops > 20, stops
 
 
 def test_q_rank_matches_bareiss_when_a_residual_is_left():

@@ -169,6 +169,17 @@ def test_direct_construction_validates():
         ThreeForm(3, ((1, 2, 3, 1), (1, 2, 3, 4)))
 
 
+def test_direct_construction_rejects_terms_that_are_not_sequences():
+    # Terms that cannot be iterated, and a term with no length, are
+    # malformed forms like any other: FormError, not a bare TypeError.
+    with pytest.raises(FormError, match="not a sequence"):
+        ThreeForm(3, 5)
+    with pytest.raises(FormError, match="quadruple"):
+        ThreeForm(3, [5])
+    with pytest.raises(FormError, match="quadruple"):
+        ThreeForm(4, ((1, 2, 3, 1), None))
+
+
 def test_direct_construction_rejects_booleans():
     # bool is an int subclass, but JSON writes it as true/false, which
     # parse_form refuses: such a form could not round-trip.

@@ -5,14 +5,14 @@ from math import comb
 import pytest
 
 from conftest import FINISHES, random_form, seeded, signed_permutation
-from test_exact_linalg import _fraction_free_rank
+from test_exact_linalg import _fraction_free_rank, _has_unit_row, _min_scan_unit_phase
 
 from cuphom.cup_complex import boundary_rows, skew_rows
 from cuphom.exact_linalg import BOUND_PRIME, _eliminate
 from cuphom.forms import (FormError, ThreeForm, connected_sum, mapping_torus, surface_circle,
                           torus3, transform, trivial)
-from cuphom.homology import (AbelianGroup, _dims, _q_ranks, cup_homology, direct_sum,
-                             h_mod_p, h_rank, k_p, mod_p_degree_dims, uct_check)
+from cuphom.homology import (AbelianGroup, _dims, _q_ranks, common_dim, cup_homology,
+                             direct_sum, h_mod_p, h_rank, k_p, mod_p_degree_dims, uct_check)
 from cuphom.oracles import field_homology_oracle
 
 
@@ -370,6 +370,73 @@ def test_certified_q_ranks_match_the_fraction_free_path(monkeypatch, finishes):
     # b = 13 form, only its middle map is finished, by the any-pivot kernel.
     assert finished["_pfaffian_rank"] > 0, finished
     assert (finishes["any_pivot"], finishes["_pfaffian_rank"]) == (1, 0)
+
+
+def test_stopped_q_ranks_finish_to_the_fraction_free_path(monkeypatch, finishes):
+    # Every kept map's bound, and its finish when left open, against the
+    # whole unit phase plus the reference fraction-free loop, where the unit
+    # phase stops at the dense switch.  The finish resumes that phase, so the
+    # any-pivot kernel never sees a unit entry, checks rule (a) again and
+    # only then eliminates exactly.  Dense +-1 b = 10: d_6 stops and takes
+    # the any-pivot finish.  Dense coefficient-9 b = 9: d_4 and d_5 stop and
+    # are certified there; the skew middle map does not stop and takes the
+    # Pfaffian finish.  The sparse b = 13 form stops nowhere.
+    import cuphom.exact_linalg as el
+
+    real = el._eliminate
+
+    def resumed_first(rows, paired=False, any_pivot=False, stop=False):
+        assert not (any_pivot and _has_unit_row(rows)), "finish before the unit phase ended"
+        assert not (paired and stop), "a paired unit phase stopped"
+        return real(rows, paired, any_pivot, stop)
+
+    monkeypatch.setattr(el, "_eliminate", resumed_first)
+    rng = seeded(2424)
+    forms = [_dense_or_sparse_form(rng, 9, 9, 1.0) for _ in range(2)]
+    forms += [_dense_or_sparse_form(rng, 10, 1, 1.0) for _ in range(2)]
+    seen = {"stopped": 0, "stopped then any_pivot": 0, "skew then _pfaffian_rank": 0}
+    for f in forms + [SPARSE_B13]:
+        for k in range(3, (f.rank + 3) // 2 + 1):
+            skew = 2 * k == f.rank + 3 and f.rank % 4 == 1
+            rows = skew_rows(f) if skew else boundary_rows(f, k)
+            stopped = not skew and _has_unit_row(_eliminate(rows, stop=True)[1])
+            assert not (stopped and f is SPARSE_B13), k
+            units, rest = _eliminate(boundary_rows(f, k))
+            rank = units + _fraction_free_rank(rest)
+            before = dict(finishes)
+            bound, finish = _bounded(f, k)
+            assert bound <= rank == (finish() if finish else bound), (f, k)
+            seen["stopped"] += stopped
+            seen["stopped then any_pivot"] += stopped and finishes["any_pivot"] > before["any_pivot"]
+            seen["skew then _pfaffian_rank"] += (
+                skew and finishes["_pfaffian_rank"] > before["_pfaffian_rank"])
+    assert seen["stopped"] >= 8 and seen["stopped then any_pivot"] >= 2, seen
+    assert seen["skew then _pfaffian_rank"] == 2, seen
+
+
+def test_dense_b10_h_rank_stops_at_the_switch_and_finishes_nothing(monkeypatch, finishes):
+    # Coefficients to 9 on every triple of rank 10: each unit phase ends at
+    # the dense switch, as the reference unit phase with the same stop does,
+    # so no unit pivot runs past it; rule (a) or rule (b) certifies every
+    # bound, and no unit phase is resumed.
+    import cuphom.exact_linalg as el
+
+    calls = []
+    real = el._eliminate
+
+    def recorded(rows, paired=False, any_pivot=False, stop=False):
+        given = [dict(r) for r in rows]
+        units, rest = real(rows, paired, any_pivot, stop)
+        assert (units, rest) == _min_scan_unit_phase(given, stop=True)
+        calls.append((stop, _has_unit_row(rest)))
+        return units, rest
+
+    monkeypatch.setattr(el, "_eliminate", recorded)
+    f = _dense_or_sparse_form(seeded(3), 10, 9, 1.0)
+    assert h_rank(f) == common_dim(field_homology_oracle(f, 0))
+    # d_3 .. d_6, once each; d_4, d_5 and d_6 stop with units left.
+    assert calls == [(True, False)] + [(True, True)] * 3
+    assert finishes == dict.fromkeys(FINISHES, 0), "exact finish ran"
 
 
 def test_block_sums_finish_non_skew_open_maps_with_any_pivot(finishes):

@@ -116,7 +116,7 @@ def test_checks_do_not_use_the_unit_kernel(monkeypatch):
     # phase, so the UCT check and the oracle stay independent of it.
     import cuphom.exact_linalg as el
 
-    def no_kernel(rows, paired=False, any_pivot=False):
+    def no_kernel(rows, paired=False, any_pivot=False, stop=False):
         raise AssertionError("unit kernel called")
 
     monkeypatch.setattr(el, "_eliminate", no_kernel)
