@@ -8,10 +8,10 @@ import json
 import sys
 
 from . import combinatorics, geography
-from .cup_complex import dump_boundary_matrices, verify_d_squared
+from .cup_complex import checked_maps, dump_boundary_matrices
 from .forms import (FormError, _write_atomic, builtin_family, connected_sum, parse_form,
                     serialize_form)
-from .homology import (AbelianGroup, common_dim, cup_homology, h_rank,
+from .homology import (AbelianGroup, common_dim, cup_homology, h_rank, homology_from_maps,
                        mod_p_degree_dims, uct_check)
 from .report import CheckReport
 
@@ -105,10 +105,13 @@ def _cmd_verify(args):
         primes = [int(p) for p in args.primes.split(",") if p]
     except ValueError:
         raise FormError(f"--primes must be a comma-separated integer list, got {args.primes!r}")
-    reports = [verify_d_squared(f)]
-    # Homology of a broken complex is meaningless (cup_homology refuses it).
-    if reports[0].ok:
-        result = cup_homology(f)
+    # Each map is built and each pair multiplied once; the kept half waits
+    # for the check, since homology of a broken complex is meaningless.
+    d_squared, maps = checked_maps(f)
+    kept = [(k, rows) for k, rows in maps if 2 * k <= f.rank + 3]
+    reports = [d_squared]
+    if d_squared.ok:
+        result = homology_from_maps(f.rank, kept)
         if f.rank >= 1:
             euler = CheckReport("h_ev = h_odd")
             euler.add("h_ev = h_odd", result.h_ev == result.h_odd,

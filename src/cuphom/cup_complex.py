@@ -235,21 +235,35 @@ def composites(f, top=None):
             prev = cur
 
 
-def verify_d_squared(f):
-    """Check that consecutive boundary maps compose to zero.
+def checked_maps(f):
+    """The d∘d check of every composable pair, and the maps it builds.
 
+    Returns ``(report, maps)``: ``maps`` yields (k, rows of d_k) for
+    k = 3..b, each map built once and each pair multiplied once
+    (:func:`composites`), and adds the check of d_{k-3} o d_k = 0 to
+    ``report`` as it goes; the report is complete once ``maps`` is used up.
     A failure signals an implementation bug, never bad input: the composite
     is contraction by mu ^ mu, which vanishes identically.
     """
     rep = CheckReport(f"d-squared on rank {f.rank}")
-    for k, _, bad in composites(f):
-        if bad is None:
-            continue
-        bad = [(k, r, c) for r, c in bad]
-        rep.add(f"d_{k - 3} o d_{k} = 0", not bad,
-                "" if not bad else f"nonzero at {bad[:5]}")
-    if not rep.items:
-        rep.add("no composable pairs", True, "vacuous")
+
+    def maps():
+        for k, rows, bad in composites(f):
+            if bad is not None:
+                bad = [(k, r, c) for r, c in bad]
+                rep.add(f"d_{k - 3} o d_{k} = 0", not bad,
+                        "" if not bad else f"nonzero at {bad[:5]}")
+            yield k, rows
+        if not rep.items:
+            rep.add("no composable pairs", True, "vacuous")
+    return rep, maps()
+
+
+def verify_d_squared(f):
+    """Check that consecutive boundary maps compose to zero (:func:`checked_maps`)."""
+    rep, maps = checked_maps(f)
+    for _ in maps:
+        pass
     return rep
 
 

@@ -20,16 +20,17 @@ pivot row and column are cut out of the block.  The Q-rank has one entry
 point, :func:`q_rank_bound`.  Its unit phase makes the same sparse-to-dense
 switch as :func:`_rank_mod_p`: it stops once the rows left are dense, as
 dense unit pivots grow entries of tens of bits.  It bounds the rows left
-from below by their rank modulo the fixed prime :data:`BOUND_PRIME` and
-hands back a finisher, for the caller to run only when the bound is not
-known to be exact (:func:`cuphom.homology._q_ranks` decides).  The finisher
-resumes the unit phase, then runs the same kernel with any pivot,
-fraction-free on the sparse rows, except for a dense block of a
+from below by their rank modulo 2, one XOR basis, and hands back an
+iterator of dearer bounds, for the caller to advance only while a bound is
+not known to be exact (:func:`cuphom.homology._q_ranks` decides): the rank
+modulo the fixed prime :data:`BOUND_PRIME`, then the exact rank.  That
+last step resumes the unit phase, then runs the same kernel with any
+pivot, fraction-free on the sparse rows, except for a dense block of a
 skew-symmetric matrix: there the unit pivots come in mirrored pairs, so the
 block left is skew, and :func:`_pfaffian_rank` eliminates its upper
 triangle two ranks at a time, with 2×2 pivots and exact divisions.
 
-Every rank over F_p, that bound's included, runs one kernel,
+Every rank over F_p, those bounds included, runs one kernel,
 :func:`_rank_mod_p`: XOR bit rows over F_2; for odd p sparse pivoting, with
 the rows in a heap by length and a column index so that a pivot touches
 only the rows holding its column, then, once the live block is dense, rows
@@ -47,7 +48,8 @@ from sys import byteorder
 
 # The largest prime below 2^15.  Its packed slots in _rank_mod_p fit in 64
 # bits: cap·(p-1)^2 + (p-1) < 2^64 for any block of fewer than 2^34 rows.
-# It affects only speed, never a rank (see q_rank_bound).
+# It affects only speed, never a rank (see q_rank_bound), as does the
+# bound modulo 2 taken before it.
 BOUND_PRIME = 32749
 
 # Miller-Rabin with the first 13 prime bases, 2 to 41, decides every n below
@@ -393,59 +395,80 @@ def _pfaffian_rank(rows):
 
 
 def q_rank_bound(rows, skew=False):
-    """Lower bound on the rank over Q, and how to finish it; consumes ``rows``.
+    """Lower bound on the rank over Q, and how to raise it; consumes ``rows``.
 
-    Returns ``(bound, finish)``.  The unit phase of :func:`_eliminate` goes
+    Returns ``(bound, more)``.  The unit phase of :func:`_eliminate` goes
     first, with its dense stop: it ends where it has eliminated every unit,
     or before a pivot once the rows left are dense (``stop``).  If rows are
-    left, the bound is the unit count plus their rank modulo
-    :data:`BOUND_PRIME`.  The bound never exceeds rank_Q: the unit phase is
-    unimodular, so it keeps the rank over Q and over F_p, and a rank can
-    only drop modulo a prime.  For the same reason the bound does not depend
-    on where the unit phase stopped.  ``finish`` is None when the bound is
-    the rank: nothing is left, or the rank modulo the prime reaches the
-    smaller dimension of the rows left, which no rank can exceed (rule (a)).
-    Otherwise ``finish()`` resumes the unit phase on the rows left, checks
-    rule (a) again on the residual, and only if that fails eliminates it
-    exactly and returns the rank.  An unlucky prime only lowers the bound,
-    so the exact finish decides; the prime affects speed, never a rank.
+    left, the bound is the unit count plus the rank over F_2 of their odd
+    entries, one XOR basis of bit rows in :func:`_rank_mod_p`.  A bound
+    never exceeds rank_Q: the unit phase is unimodular, so it keeps the rank
+    over Q and over every F_p, and a rank can only drop modulo a prime.  For
+    the same reason the bound does not depend on where the unit phase
+    stopped.  ``more`` is None when the bound is the rank: nothing is left,
+    or the rank modulo 2 reaches the smaller dimension of the rows left,
+    which no rank can exceed (rule (a)).
+
+    Otherwise ``more`` is an iterator of bounds, each dearer than the last,
+    for the caller to advance only while the map stays open
+    (:func:`cuphom.homology._q_ranks` decides).  It gives the unit count
+    plus the rank of the rows left modulo :data:`BOUND_PRIME`, and stops
+    there if rule (a) holds for it.  Else it resumes the unit phase on the
+    rows left, checks rule (a) again on the residual against the larger of
+    the two modular ranks, and gives the exact rank, from that check or
+    from eliminating the residual exactly.  Its last value is the rank.  A
+    modular value may fall below the one before (a prime that divides a
+    minor of the rows left), so a caller keeps the larger; an unlucky prime
+    only lowers a bound, and the exact finish decides.  The primes affect
+    speed, never a rank.
 
     The stop pays for maps that a certificate then decides: a dense block
-    grows entries of tens of bits in the unit phase, while its rank modulo
-    the prime costs one packed elimination.  A map left open pays that rank
-    on a larger block, and then the rest of the unit phase anyway.
+    grows entries of tens of bits in the unit phase, while its ranks modulo
+    2 and the prime cost one XOR basis and one packed elimination.  A map
+    left open pays them on a larger block, and then the rest of the unit
+    phase anyway.  The rank modulo 2 is taken only on the rows the unit
+    phase leaves, which for a sparse map is a short residual with no unit
+    entry, so its cost stays below that of the rank modulo the prime.
 
     ``skew`` says that the rows form a skew-symmetric matrix whose row i and
     column i carry one label (:func:`cuphom.cup_complex.skew_rows`).  Unit
     pivots then come in mirrored pairs, so the residual is skew as well, and
-    a skew rank is even: a residual of s rows is certified once its rank
-    modulo the prime is at least s - 1.  This unit phase does not stop.  The
-    skew map is the self-dual middle map of :func:`cuphom.homology._q_ranks`,
+    a skew rank is even: a residual of s rows is certified once a modular
+    rank of it is at least s - 1.  This unit phase does not stop.  The skew
+    map is the self-dual middle map of :func:`cuphom.homology._q_ranks`,
     and rule (b) there seldom certifies it: at b = 9 never, as it would need
     rank d_6 = 84 - rank d_3 = 83 for a nonzero form, an odd rank.  So it is
     certified by rule (a) after its whole unit phase or finished, and a stop
-    would only add a larger rank modulo the prime.  An open residual that
-    is dense (at least s^2/8 entries, the switch of :func:`_rank_mod_p`) is
-    finished by :func:`_pfaffian_rank`; a sparse one, like every other
-    matrix, by the unit kernel with any pivot, whose sparse pivots keep
-    fill-in low.
+    would only add larger modular ranks.  An open residual that is dense
+    (at least s^2/8 entries, the switch of :func:`_rank_mod_p`) is finished
+    by :func:`_pfaffian_rank`; a sparse one, like every other matrix, by
+    the unit kernel with any pivot, whose sparse pivots keep fill-in low.
     """
     units, rest = _eliminate(rows, paired=skew, stop=not skew)
     if not rest:
         return units, None
-    p = BOUND_PRIME
-    bound = units + _rank_mod_p([{j: v % p for j, v in r.items() if v % p} for r in rest], p)
-    if bound - units == _most_rank(rest, skew):
-        return bound, None
+    cap = _most_rank(rest, skew)
+    odd = _rank_mod_p([{j: 1 for j, v in r.items() if v & 1} for r in rest], 2)
+    if odd == cap:
+        return units + odd, None
+    return units + odd, _more(units, rest, cap, odd, skew)
 
-    def finish():
-        more, left = _eliminate(rest)  # a skew residual holds no unit
-        if bound - units - more == _most_rank(left, skew):
-            return bound
-        if skew and 8 * sum(map(len, left)) >= len(left) ** 2:
-            return units + more + _pfaffian_rank(left)
-        return units + more + _eliminate(left, any_pivot=True)[0]
-    return bound, finish
+
+def _more(units, rest, cap, odd, skew):
+    """The bounds after the F_2 one of :func:`q_rank_bound`; see there."""
+    p = BOUND_PRIME
+    modp = _rank_mod_p([{j: v % p for j, v in r.items() if v % p} for r in rest], p)
+    yield units + modp
+    if modp == cap:
+        return
+    more, left = _eliminate(rest)  # a skew residual holds no unit
+    best = max(odd, modp)
+    if best - more == _most_rank(left, skew):
+        yield units + best
+    elif skew and 8 * sum(map(len, left)) >= len(left) ** 2:
+        yield units + more + _pfaffian_rank(left)
+    else:
+        yield units + more + _eliminate(left, any_pivot=True)[0]
 
 
 def _most_rank(rows, skew):

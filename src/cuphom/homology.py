@@ -7,10 +7,11 @@ of :func:`cuphom.cup_complex.boundary_rows`.  Only the kept half of the maps,
 d_k with k <= (b+3)/2, is eliminated: the integral groups take one Smith
 normal form per kept map, the field invariants one rank, and each dual map
 d_{b+3-k}, a certified signed transpose of d_k, takes its partner's result
-(:func:`_with_duals`).  Over Q those ranks start as lower bounds modulo a
-fixed prime, taken where the unit phase stops on a dense block, and the
-chain complex itself certifies most of them (:func:`_q_ranks`); only the
-maps it leaves open finish their unit phase.  At b = 1 mod 4 the self-dual
+(:func:`_with_duals`).  Over Q those ranks start as lower bounds modulo 2,
+taken where the unit phase stops on a dense block, and the chain complex
+itself certifies most of them (:func:`_q_ranks`); only the maps it leaves
+open take a rank modulo a fixed prime, and only those still open finish
+their unit phase.  At b = 1 mod 4 the self-dual
 middle map is ranked in its skew form
 (:func:`cuphom.cup_complex.skew_rows`).  Whatever the ring,
 the per-degree dimensions come from the per-map ranks through the one
@@ -78,23 +79,33 @@ class CupHomologyResult:
 def cup_homology(f):
     """Full integral homology, split by exterior degree and by parity.
 
-    Each kept map d_k, k <= (b+3)/2, is built and eliminated once: its Smith
-    normal form gives both its rank (where it leaves a degree) and the
-    torsion it cuts out (where it enters one), and its dual d_{b+3-k} takes
-    the same factors.  The invariant factors above 1 are the tail of a
-    divisibility chain, so they are the torsion as they stand.  Each
-    adjacent pair of maps with top k <= (b+6)/2 is checked to compose to
-    zero; every other pair is the transpose of one of these.  A nonzero
-    composite is a hard error, since the complex itself is broken.
+    Each adjacent pair of maps with top k <= (b+6)/2 is checked to compose
+    to zero; every other pair is the transpose of one of these.  A nonzero
+    composite is a hard error, since the complex itself is broken.  The
+    kept maps go to :func:`homology_from_maps` as they are built.
     """
     b = f.rank
-    snf = {}
-    for k, rows, nonzeros in composites(f, (b + 6) // 2):
-        if nonzeros:
-            raise RuntimeError(f"d_{k - 3} o d_{k} != 0: not a chain complex")
-        if 2 * k <= b + 3:
-            snf[k] = smith_normal_form(rows)
-    snf = _with_duals(b, snf)
+
+    def kept():
+        for k, rows, nonzeros in composites(f, (b + 6) // 2):
+            if nonzeros:
+                raise RuntimeError(f"d_{k - 3} o d_{k} != 0: not a chain complex")
+            if 2 * k <= b + 3:
+                yield k, rows
+    return homology_from_maps(b, kept())
+
+
+def homology_from_maps(b, kept):
+    """Integral homology at rank b from its kept maps, pairs (k, rows of d_k)
+    for k <= (b+3)/2, of a complex whose d∘d = 0 is already checked.
+
+    Each kept map is eliminated once: its Smith normal form gives both its
+    rank (where it leaves a degree) and the torsion it cuts out (where it
+    enters one), and its dual d_{b+3-k} takes the same factors.  The
+    invariant factors above 1 are the tail of a divisibility chain, so they
+    are the torsion as they stand.
+    """
+    snf = _with_duals(b, {k: smith_normal_form(rows) for k, rows in kept})
     free = _dims(b, {k: len(factors) for k, factors in snf.items()})
     into = [snf.get(k + 3, ()) for k in range(b + 1)]  # factors of the map into degree k
     groups = [AbelianGroup(n, t[t.count(1):]) for n, t in zip(free, into)]
@@ -143,7 +154,8 @@ def _q_ranks(f):
     """Rank over Q of each boundary map d_k, k = 3..b, as a dict keyed by k.
 
     :func:`cuphom.exact_linalg.q_rank_bound` gives each map a lower bound
-    L_k <= r_k = rank_Q(d_k), exact unless the map is left open.  The
+    L_k <= r_k = rank_Q(d_k), modulo 2, and for a map it leaves open an
+    iterator of dearer bounds: modulo a fixed prime, then exact.  The
     complex certifies an open map: if the bounded homology (:func:`_dims`
     of the L) is zero at its target or at its source,
 
@@ -158,14 +170,18 @@ def _q_ranks(f):
     :func:`cup_homology` (half the pairs directly, the rest as their
     transposes) and ``cuphom verify`` check it for each form they are
     given; ``test_compiled_maps_match_contraction`` and
-    ``test_c2a_d_squared_zero`` check the compiled entry tables.  Only the
-    maps the rule leaves open are finished exactly.  Any lower bounds
-    will do, so a map finished earlier takes part with its exact rank.
-    A bound does not depend on where the unit phase stopped (it is
-    unimodular), so the dense stop changes no decision here: it only moves
-    the rest of the unit phase of a dense map into its finish, which a
-    certified map never runs, and the finish checks rule (a) again on the
-    rows the whole phase leaves before it eliminates exactly.
+    ``test_c2a_d_squared_zero`` check the compiled entry tables.
+
+    Every kept map is bounded first.  Then each open map moves one step at
+    a time, in rounds over the open maps: before each step the rule is
+    checked again, since another map's bound may have risen, and after it
+    the map keeps the larger of its bounds, since an unlucky prime can
+    fall below the rank modulo 2.  A map whose iterator ends has its exact
+    rank.  So the rank modulo the prime runs only where the bounds modulo 2
+    left a map open, and the exact finish only where those modulo the
+    prime did too.  Any lower bounds will do, and a bound does not depend
+    on where the unit phase stopped (it is unimodular), so the dense stop
+    changes no decision here.
     Only the kept half is bounded and finished; each dual map takes its
     partner's value (:func:`_with_duals`), so L_{b+3-k} = L_k, the rule sees
     the same zeros for both maps of a pair, and an open pair is finished
@@ -180,15 +196,19 @@ def _q_ranks(f):
     ranks, open_maps = {}, {}
     for k in range(3, (b + 3) // 2 + 1):
         if 2 * k == b + 3 and b % 4 == 1:
-            ranks[k], finish = q_rank_bound(skew_rows(f), skew=True)
+            ranks[k], more = q_rank_bound(skew_rows(f), skew=True)
         else:
-            ranks[k], finish = q_rank_bound(boundary_rows(f, k))
-        if finish:
-            open_maps[k] = finish
-    for k, finish in open_maps.items():
-        dims = _dims(b, _with_duals(b, ranks))
-        if dims[k - 3] and dims[k]:
-            ranks[k] = finish()
+            ranks[k], more = q_rank_bound(boundary_rows(f, k))
+        if more:
+            open_maps[k] = more
+    while open_maps:
+        for k, more in list(open_maps.items()):
+            dims = _dims(b, _with_duals(b, ranks))
+            bound = next(more, None) if dims[k - 3] and dims[k] else None
+            if bound is None:
+                del open_maps[k]
+            else:
+                ranks[k] = max(ranks[k], bound)
     return _with_duals(b, ranks)
 
 

@@ -352,15 +352,49 @@ def test_each_map_eliminated_once_per_ring(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_reports_a_broken_complex(tmp_path, capsys, monkeypatch, broken_d6):
-    def no_homology(f):
+    def no_homology(*args):
         raise AssertionError("verify computed homology of a broken complex")
 
     monkeypatch.setattr("cuphom.cli.cup_homology", no_homology)
+    monkeypatch.setattr("cuphom.cli.homology_from_maps", no_homology)
     path = write_form(tmp_path / "f.json", ThreeForm(6, ((1, 2, 3, 1), (4, 5, 6, 1))))
     assert main(["verify", path, "--primes", "2"]) == 1
     out = capsys.readouterr().out
     assert "[d-squared on rank 6] FAIL d_3 o d_6 = 0" in out
     assert out.endswith("verify: FAIL\n")
+
+
+def test_verify_builds_each_map_and_product_once(tmp_path, capsys, monkeypatch):
+    # The d∘d check and the homology share one walk: every integral map is
+    # built once and every composable pair multiplied once; only the mod-p
+    # maps of the UCT check are built apart.
+    import cuphom.cup_complex as cc
+    import cuphom.homology as hom
+
+    built, products = [], []
+    real_rows, real_product = cc.boundary_rows, cc.sparse_product
+
+    def counted_rows(f, k, p=0):
+        built.append((k, p))
+        return real_rows(f, k, p)
+
+    def counted_product(A, B):
+        products.append((len(A), len(B)))
+        return real_product(A, B)
+
+    monkeypatch.setattr(cc, "boundary_rows", counted_rows)
+    monkeypatch.setattr(hom, "boundary_rows", counted_rows)
+    monkeypatch.setattr(cc, "sparse_product", counted_product)
+    for f in (surface_circle(5), mapping_torus(3, 1)):  # b = 11 and b = 8
+        built.clear()
+        products.clear()
+        path = write_form(tmp_path / "f.json", f)
+        assert main(["verify", path, "--primes", "2"]) == 0
+        assert capsys.readouterr().out.endswith("verify: PASS\n")
+        b = f.rank
+        assert sorted(k for k, p in built if p == 0) == list(range(3, b + 1))
+        assert sorted(k for k, p in built if p == 2) == list(range(3, (b + 3) // 2 + 1))
+        assert len(products) == b - 5  # d_{k-3} o d_k for k = 6..b
 
 
 def test_sum_then_verify_applies_the_connected_sum_bound(tmp_path, capsys):

@@ -5,7 +5,8 @@ from math import comb
 import pytest
 
 from conftest import FINISHES, random_form, seeded, signed_permutation
-from test_exact_linalg import _fraction_free_rank, _has_unit_row, _min_scan_unit_phase
+from test_exact_linalg import (_fraction_free_rank, _has_unit_row, _last_bound,
+                               _min_scan_unit_phase)
 
 from cuphom.cup_complex import boundary_rows, skew_rows
 from cuphom.exact_linalg import BOUND_PRIME, _eliminate
@@ -309,14 +310,19 @@ def _dense_or_sparse_form(rng, b, coeff_max, keep):
                                      if rng.random() < keep})
 
 
-def _count_calls(monkeypatch, module, name, seen):
-    real = getattr(module, name)
+def _moduli_seen(monkeypatch):
+    """Patch exact_linalg._rank_mod_p to record the modulus of each call; returns the record."""
+    import cuphom.exact_linalg as el
 
-    def counted(*args):
-        seen[name] += 1
-        return real(*args)
+    moduli = []
+    real = el._rank_mod_p
 
-    monkeypatch.setattr(module, name, counted)
+    def counted(rows, p):
+        moduli.append(p)
+        return real(rows, p)
+
+    monkeypatch.setattr(el, "_rank_mod_p", counted)
+    return moduli
 
 
 # 5% of the triples of rank 13, coefficients to 3: the middle map d_8 leaves
@@ -340,31 +346,28 @@ def test_certified_q_ranks_match_the_fraction_free_path(monkeypatch, finishes):
     # before bounds).  Open middle maps at b = 1 mod 4 go to the Pfaffian
     # finish when their residual is dense, and to the any-pivot kernel when
     # it is sparse.
-    import cuphom.exact_linalg as el
-
     rng = seeded(1111)
     forms = [surface_circle(g) for g in range(1, 7)]
     forms += [_dense_or_sparse_form(rng, rng.randint(3, 9), coeff_max, keep)
               for coeff_max in (1, 3, 9) for keep in (0.3, 1.0) for _ in range(5)]
     forms.append(SPARSE_B13)
-    seen = {"_rank_mod_p": 0}
-    _count_calls(monkeypatch, el, "_rank_mod_p", seen)
+    moduli = _moduli_seen(monkeypatch)
     bounded = left_open = 0
     finished = dict.fromkeys(FINISHES, 0)
     for f in forms:
-        seen["_rank_mod_p"] = 0
+        moduli.clear()
         finishes.update(dict.fromkeys(FINISHES, 0))
         ranks = _q_ranks(f)
-        bounded += seen["_rank_mod_p"]  # one rank mod P per nonempty residual
+        bounded += moduli.count(2)  # one rank modulo 2 per nonempty residual
         for name in FINISHES:
             finished[name] += finishes[name]
         for k in range(3, f.rank + 1):
             units, rest = _eliminate(boundary_rows(f, k))
             assert ranks[k] == units + _fraction_free_rank(rest), (f, k)
             left_open += _bounded(f, k)[1] is not None
-    # Rule (a) certified some residuals and the others went through a
-    # finisher.  At b <= 9 rule (b) seldom leaves a map certified; the dense
-    # b = 10 form below checks it.
+    # Rule (a) modulo 2 certified some residuals, and the others went on to
+    # the prime or through a finisher.  At b <= 9 rule (b) seldom leaves a
+    # map certified; the dense b = 10 form below checks it.
     assert bounded > left_open >= sum(finished.values()) > 0, (bounded, left_open, finished)
     # The dense b = 9 middle maps took the Pfaffian finish; of the sparse
     # b = 13 form, only its middle map is finished, by the any-pivot kernel.
@@ -404,8 +407,8 @@ def test_stopped_q_ranks_finish_to_the_fraction_free_path(monkeypatch, finishes)
             units, rest = _eliminate(boundary_rows(f, k))
             rank = units + _fraction_free_rank(rest)
             before = dict(finishes)
-            bound, finish = _bounded(f, k)
-            assert bound <= rank == (finish() if finish else bound), (f, k)
+            bound, more = _bounded(f, k)
+            assert bound <= rank == _last_bound(bound, more), (f, k)
             seen["stopped"] += stopped
             seen["stopped then any_pivot"] += stopped and finishes["any_pivot"] > before["any_pivot"]
             seen["skew then _pfaffian_rank"] += (
@@ -451,17 +454,22 @@ def test_block_sums_finish_non_skew_open_maps_with_any_pivot(finishes):
     assert finishes["_pfaffian_rank"] == 0
 
 
+def _scaled(f, c):
+    return ThreeForm.from_coeffs(f.rank, {(i, j, k): c * a for i, j, k, a in f.terms})
+
+
 def test_unlucky_prime_falls_back_to_the_exact_loop(finishes):
-    # Multiples of the bound prime vanish modulo it, so every bound is 0 and
-    # no certificate fires: an exact finish must decide every nonzero map of
-    # the kept half (the Pfaffian one for the dense skew middle map at b = 5).
-    assert h_rank(torus3(BOUND_PRIME)) == 3
+    # Multiples of 2 and of the bound prime vanish modulo both, so every bound
+    # is 0 and no certificate fires: an exact finish must decide every nonzero
+    # map of the kept half (the Pfaffian one for the dense skew middle map at
+    # b = 5).  An odd multiple of the prime is certified modulo 2.
+    assert h_rank(torus3(2 * BOUND_PRIME)) == 3
     assert sum(finishes.values()) == 1
     rng = seeded(1212)
     for _ in range(12):
         f = random_form(rng, rng.randint(3, 7))
-        for c in (BOUND_PRIME, 2 * BOUND_PRIME):
-            g = ThreeForm.from_coeffs(f.rank, {(i, j, k): c * a for i, j, k, a in f.terms})
+        for c in (2 * BOUND_PRIME, 6 * BOUND_PRIME):
+            g = _scaled(f, c)
             h = h_rank(f)
             finishes.update(dict.fromkeys(finishes, 0))
             assert h_rank(g) == h
@@ -471,25 +479,82 @@ def test_unlucky_prime_falls_back_to_the_exact_loop(finishes):
             assert sum(finishes.values()) == nonzero
 
 
-def test_q_rank_certificates_decide_without_the_exact_loop(monkeypatch, finishes):
+def _drawn_bounds(monkeypatch):
+    """Patch homology's q_rank_bound to record, per map left open after its
+    F_2 bound, how many further bounds _q_ranks drew from its iterator."""
     import cuphom.exact_linalg as el
     import cuphom.homology as hom
 
-    left_open = []
+    drawn = []
 
     def seen_bound(rows, skew=False):
-        bound, finish = el.q_rank_bound(rows, skew)
-        left_open.append(finish is not None)
-        return bound, finish
+        bound, more = el.q_rank_bound(rows, skew)
+        if more is None:
+            return bound, None
+        drawn.append(0)
+        slot = len(drawn) - 1
+
+        def counted():
+            for value in more:
+                drawn[slot] += 1
+                yield value
+        return bound, counted()
 
     monkeypatch.setattr(hom, "q_rank_bound", seen_bound)
+    return drawn
+
+
+def test_q_rank_certificates_decide_without_the_exact_loop(monkeypatch, finishes):
+    drawn = _drawn_bounds(monkeypatch)
     assert h_rank(G2) == 27
     assert h_rank(surface_circle(5)) == 462
-    assert not any(left_open)  # the unit phase and rule (a) alone
+    # The unit phase and rule (a), modulo 2 or else modulo the prime: G2's
+    # F_2 homology is larger than its rational one, so modulo 2 leaves maps open.
+    assert drawn and all(n == 1 for n in drawn), drawn
+    drawn.clear()
     f = _dense_or_sparse_form(seeded(3), 10, 9, 1.0)
     assert _dims(f.rank, _q_ranks(f)) == field_homology_oracle(f, 0)
-    assert any(left_open)  # rule (b) certified these maps
+    assert drawn and not any(drawn), drawn  # rule (b) certified these maps modulo 2
     assert finishes == dict.fromkeys(FINISHES, 0), "exact finish ran"
+
+
+def test_q_rank_stages_on_multiples_of_a_dense_form(monkeypatch, finishes):
+    # The dense coefficient-9 b = 10 form f and two multiples, with the same
+    # ranks.  f: every kept map is certified at its bound modulo 2, by rule
+    # (a) or (b), with no rank modulo the prime and no finish.  2f: every
+    # bound modulo 2 is 0, and the ranks modulo the prime certify every map.
+    # 2Pf: both moduli give 0, so each nonzero kept map is finished.
+    moduli = _moduli_seen(monkeypatch)
+    f = _dense_or_sparse_form(seeded(3), 10, 9, 1.0)
+    ranks = _q_ranks(f)
+    assert _dims(f.rank, ranks) == field_homology_oracle(f, 0)
+    stages = {}
+    for c in (1, 2, 2 * BOUND_PRIME):
+        moduli.clear()
+        finishes.update(dict.fromkeys(FINISHES, 0))
+        assert _q_ranks(_scaled(f, c)) == ranks
+        stages[c] = (moduli.count(2), moduli.count(BOUND_PRIME), sum(finishes.values()))
+    # Kept maps d_3 .. d_6; d_3, a single row, has a unit entry in f and
+    # leaves no rows to bound.
+    n = 4
+    assert stages == {1: (n - 1, 0, 0), 2: (n, n, 0), 2 * BOUND_PRIME: (n, n, n)}, stages
+
+
+def test_q_ranks_match_the_fraction_free_path_on_multiples(finishes):
+    # _q_ranks of c·f against the whole unit phase plus the reference
+    # fraction-free loop on f, for multipliers that vanish modulo 2, modulo
+    # the bound prime, both or neither.
+    rng = seeded(2525)
+    forms = [random_form(rng, b) for b in range(3, 11) for _ in range(2)]
+    forms += [surface_circle(g) for g in (3, 4, 5)] + [mapping_torus(3, 1)]
+    for f in forms:
+        kept = range(3, (f.rank + 3) // 2 + 1)
+        expect = {k: _eliminate(boundary_rows(f, k)) for k in kept}
+        expect = {k: units + _fraction_free_rank(rest) for k, (units, rest) in expect.items()}
+        for c in (1, 2, BOUND_PRIME, 2 * BOUND_PRIME):
+            ranks = _q_ranks(_scaled(f, c))
+            assert {k: ranks[k] for k in kept} == expect, (f, c)
+    assert finishes["any_pivot"] > 0 and finishes["_pfaffian_rank"] > 0, finishes
 
 
 def test_rank_duality_makes_degree_dims_palindromes():
