@@ -8,7 +8,7 @@ import json
 import sys
 
 from . import combinatorics, geography
-from .cup_complex import checked_maps, dump_boundary_matrices
+from .cup_complex import checked_maps, dump_boundary_matrices, kept_degrees
 from .forms import (FormError, _write_atomic, builtin_family, connected_sum, parse_form,
                     serialize_form)
 from .homology import (AbelianGroup, common_dim, cup_homology, h_rank, homology_from_maps,
@@ -108,7 +108,7 @@ def _cmd_verify(args):
     # Each map is built and each pair multiplied once; the kept half waits
     # for the check, since homology of a broken complex is meaningless.
     d_squared, maps = checked_maps(f)
-    kept = [(k, rows) for k, rows in maps if 2 * k <= f.rank + 3]
+    kept = [(k, rows) for k, rows in maps if k in kept_degrees(f.rank)]
     reports = [d_squared]
     if d_squared.ok:
         result = homology_from_maps(f.rank, kept)

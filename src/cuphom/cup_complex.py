@@ -137,6 +137,11 @@ def dual_degree(b, k):
     return b + 3 - k
 
 
+def kept_degrees(b):
+    """3 <= k <= (b+3)/2: the maps d_k whose duals (:func:`dual_degree`) are the rest."""
+    return range(3, (b + 3) // 2 + 1)
+
+
 @lru_cache(maxsize=None)
 def _skew_table(b, k):
     """Entry table of the middle map d_k, 2k = b + 3 with b = 1 mod 4, made skew.

@@ -16,19 +16,14 @@ each of the two finishes it its own way.  Smith normal form
 one diagonal step at a time: a single scan for the smallest pivot, Euclid
 down the pivot column with row operations, then column operations on the
 pivot row alone (the pivot column is zero elsewhere by then), and the
-pivot row and column are cut out of the block.  The Q-rank has one entry
-point, :func:`q_rank_bound`.  Its unit phase makes the same sparse-to-dense
-switch as :func:`_rank_mod_p`: it stops once the rows left are dense, as
-dense unit pivots grow entries of tens of bits.  It bounds the rows left
-from below by their rank modulo 2, one XOR basis, and hands back an
-iterator of dearer bounds, for the caller to advance only while a bound is
-not known to be exact (:func:`cuphom.homology._q_ranks` decides): the rank
-modulo the fixed prime :data:`BOUND_PRIME`, then the exact rank.  That
-last step resumes the unit phase, then runs the same kernel with any
-pivot, fraction-free on the sparse rows, except for a dense block of a
-skew-symmetric matrix: there the unit pivots come in mirrored pairs, so the
-block left is skew, and :func:`_pfaffian_rank` eliminates its upper
-triangle two ranks at a time, with 2×2 pivots and exact divisions.
+pivot row and column are cut out of the block.  :func:`q_rank_bound`
+stops its unit phase at the switch of :func:`_rank_mod_p` (:func:`_dense`),
+as dense unit pivots grow entries of tens of bits, and bounds the rows
+left by their rank modulo 2, then hands back dearer bounds for the caller
+(:func:`cuphom.homology._q_ranks`) to draw while one may be short: modulo
+:data:`BOUND_PRIME`, then exact, by the same kernel with any pivot.
+:func:`skew_q_rank` ranks a skew matrix exactly: unit pivots in mirrored
+pairs, then :func:`_pfaffian_rank` on a dense block, two ranks at a time.
 
 Every rank over F_p, those bounds included, runs one kernel,
 :func:`_rank_mod_p`: XOR bit rows over F_2; for odd p sparse pivoting, with
@@ -194,6 +189,11 @@ def _dense_snf(rows):
     return _divisibility_chain(diag)
 
 
+def _dense(n, free):
+    """Whether a shortest row of n entries among ``free`` unpivoted columns is dense."""
+    return n >= 16 and 8 * n >= free
+
+
 def _has_unit(row):
     values = row.values()
     return 1 in values or -1 in values
@@ -224,13 +224,11 @@ def _eliminate(rows, paired=False, any_pivot=False, stop=False):
     candidate is skipped when popped, and every changed candidate is pushed
     again.  ``rows`` is consumed.
 
-    ``stop`` ends the phase before a pivot once the rows have turned dense:
-    the shortest candidate row holds at least 16 entries and at least an
-    eighth of the columns not yet pivoted, the packing switch of
-    :func:`_rank_mod_p`, and it is not the last row.  The residual then still holds unit entries, and a
-    second call on it resumes the phase: the pivots depend only on row
-    lengths, the order of the rows and the entries per column, which the
-    residual keeps.
+    ``stop`` ends the phase before a pivot once the shortest candidate row
+    is dense (:func:`_dense`) and not the last row.  The residual then
+    still holds unit entries, and a second call on it resumes the phase:
+    the pivots depend only on row lengths, the order of the rows and the
+    entries per column, which the residual keeps.
 
     ``paired`` is for a skew-symmetric matrix whose row i and column i carry
     the same label i.  Each pivot (r, c) is then followed by its mirror
@@ -270,7 +268,7 @@ def _eliminate(rows, paired=False, any_pivot=False, stop=False):
             prow = live.get(pi)
             if prow is None or len(prow) != n or not candidate(prow):
                 continue
-            if stop and n >= 16 and 8 * n >= len(col_rows) and len(live) > 1:
+            if stop and _dense(n, len(col_rows)) and len(live) > 1:
                 break
             del live[pi]
             least = (1, -1)
@@ -394,7 +392,7 @@ def _pfaffian_rank(rows):
     return rank
 
 
-def q_rank_bound(rows, skew=False):
+def q_rank_bound(rows):
     """Lower bound on the rank over Q, and how to raise it; consumes ``rows``.
 
     Returns ``(bound, more)``.  The unit phase of :func:`_eliminate` goes
@@ -429,52 +427,54 @@ def q_rank_bound(rows, skew=False):
     phase anyway.  The rank modulo 2 is taken only on the rows the unit
     phase leaves, which for a sparse map is a short residual with no unit
     entry, so its cost stays below that of the rank modulo the prime.
-
-    ``skew`` says that the rows form a skew-symmetric matrix whose row i and
-    column i carry one label (:func:`cuphom.cup_complex.skew_rows`).  Unit
-    pivots then come in mirrored pairs, so the residual is skew as well, and
-    a skew rank is even: a residual of s rows is certified once a modular
-    rank of it is at least s - 1.  This unit phase does not stop.  The skew
-    map is the self-dual middle map of :func:`cuphom.homology._q_ranks`,
-    and rule (b) there seldom certifies it: at b = 9 never, as it would need
-    rank d_6 = 84 - rank d_3 = 83 for a nonzero form, an odd rank.  So it is
-    certified by rule (a) after its whole unit phase or finished, and a stop
-    would only add larger modular ranks.  An open residual that is dense
-    (at least s^2/8 entries, the switch of :func:`_rank_mod_p`) is finished
-    by :func:`_pfaffian_rank`; a sparse one, like every other matrix, by
-    the unit kernel with any pivot, whose sparse pivots keep fill-in low.
     """
-    units, rest = _eliminate(rows, paired=skew, stop=not skew)
+    units, rest = _eliminate(rows, stop=True)
     if not rest:
         return units, None
-    cap = _most_rank(rest, skew)
+    cap = _most_rank(rest)
     odd = _rank_mod_p([{j: 1 for j, v in r.items() if v & 1} for r in rest], 2)
     if odd == cap:
         return units + odd, None
-    return units + odd, _more(units, rest, cap, odd, skew)
+    return units + odd, _more(units, rest, cap, odd)
 
 
-def _more(units, rest, cap, odd, skew):
+def _more(units, rest, cap, odd):
     """The bounds after the F_2 one of :func:`q_rank_bound`; see there."""
     p = BOUND_PRIME
     modp = _rank_mod_p([{j: v % p for j, v in r.items() if v % p} for r in rest], p)
     yield units + modp
     if modp == cap:
         return
-    more, left = _eliminate(rest)  # a skew residual holds no unit
+    more, left = _eliminate(rest)
     best = max(odd, modp)
-    if best - more == _most_rank(left, skew):
+    if best - more == _most_rank(left):
         yield units + best
-    elif skew and 8 * sum(map(len, left)) >= len(left) ** 2:
-        yield units + more + _pfaffian_rank(left)
     else:
         yield units + more + _eliminate(left, any_pivot=True)[0]
 
 
-def _most_rank(rows, skew):
-    """The largest rank that a matrix of these nonempty rows can have (even, if skew)."""
-    cap = min(len(rows), len({j for r in rows for j in r}))
-    return cap - cap % 2 if skew else cap
+def _most_rank(rows):
+    """The largest rank that a matrix of these nonempty rows can have."""
+    return min(len(rows), len({j for r in rows for j in r}))
+
+
+def skew_q_rank(rows):
+    """Rank over Q of skew-symmetric rows, row i and column i labelled alike
+    (:func:`cuphom.cup_complex.skew_rows`); consumes ``rows``.
+
+    The paired unit phase of :func:`_eliminate` leaves a skew residual of s
+    rows, finished by :func:`_pfaffian_rank` if dense (s^2/8 entries or
+    more), else by the kernel with any pivot.  No bound is taken: for the
+    middle map of :func:`cuphom.homology._q_ranks` rule (b) needs an odd
+    rank at b = 5 or 9, and only at b >= 13, with no rational homology in
+    degrees (b ± 3)/2, could bounds spare the finish.
+    """
+    units, rest = _eliminate(rows, paired=True)
+    if not rest:
+        return units
+    if 8 * sum(map(len, rest)) >= len(rest) ** 2:
+        return units + _pfaffian_rank(rest)
+    return units + _eliminate(rest, any_pivot=True)[0]
 
 
 def _rank_mod_p(rows, p):
@@ -482,11 +482,11 @@ def _rank_mod_p(rows, p):
 
     p = 2: each row is an int of bits, reduced into an XOR basis keyed by
     lowest set bit.  Odd p: shortest-row sparse pivoting (the lowest row
-    index on ties, then its lowest column) until the shortest live row
-    holds at least 16 entries and an eighth of the columns not yet pivoted.
-    The live rows wait in a heap keyed by (length, index), stale entries
-    skipped when popped.  At the first pivot, so not for a block that is
-    dense from the start, a column → rows index is built: it may hold rows
+    index on ties, then its lowest column) until the shortest live row is
+    dense (:func:`_dense`).  The live rows wait in a heap keyed by (length,
+    index), stale entries skipped when popped.  At the first pivot, so not
+    for a block that is dense from the start, a column → rows index is
+    built: it may hold rows
     that have since lost the column, which the pivot skips, and each row a
     pivot updates joins the pivot row's columns.  So a pivot touches only
     the rows that may hold its column.  Then each live row is packed into
@@ -524,7 +524,7 @@ def _rank_mod_p(rows, p):
         prow = live.get(i)
         if prow is None or len(prow) != n:
             continue
-        if n >= 16 and 8 * n >= free:
+        if _dense(n, free):
             break
         if holding is None:
             holding = defaultdict(set)
@@ -597,7 +597,7 @@ def _rank_mod_p(rows, p):
 def rank_over_field(rows, characteristic):
     """Rank over F_p, p = ``characteristic`` a prime, of sparse rows with entries in 1..p-1.
 
-    The rows are consumed.  Ranks over Q go through :func:`q_rank_bound`.
+    The rows are consumed.  Over Q see :func:`q_rank_bound` and :func:`skew_q_rank`.
     """
     if not is_prime(characteristic):
         raise ValueError(f"characteristic must be prime, got {characteristic}")

@@ -11,11 +11,9 @@ d_{b+3-k}, a certified signed transpose of d_k, takes its partner's result
 taken where the unit phase stops on a dense block, and the chain complex
 itself certifies most of them (:func:`_q_ranks`); only the maps it leaves
 open take a rank modulo a fixed prime, and only those still open finish
-their unit phase.  At b = 1 mod 4 the self-dual
-middle map is ranked in its skew form
-(:func:`cuphom.cup_complex.skew_rows`).  Whatever the ring,
-the per-degree dimensions come from the per-map ranks through the one
-formula of :func:`_dims`.
+their unit phase; at b = 1 mod 4 the self-dual middle map is ranked
+exactly, unbounded, in its skew form (:func:`cuphom.cup_complex.skew_rows`).
+Every ring's per-degree dimensions come from its ranks by :func:`_dims`.
 """
 
 import math
@@ -23,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .cup_complex import boundary_rows, composites, dual_degree, skew_rows
-from .exact_linalg import (q_rank_bound, rank_over_field, smith_normal_form,
+from .cup_complex import boundary_rows, composites, dual_degree, kept_degrees, skew_rows
+from .exact_linalg import (q_rank_bound, rank_over_field, skew_q_rank, smith_normal_form,
                            _divisibility_chain)
 from .forms import FormError, require_prime
 from .report import CheckReport
@@ -90,7 +88,7 @@ def cup_homology(f):
         for k, rows, nonzeros in composites(f, (b + 6) // 2):
             if nonzeros:
                 raise RuntimeError(f"d_{k - 3} o d_{k} != 0: not a chain complex")
-            if 2 * k <= b + 3:
+            if k in kept_degrees(b):
                 yield k, rows
     return homology_from_maps(b, kept())
 
@@ -185,18 +183,15 @@ def _q_ranks(f):
     Only the kept half is bounded and finished; each dual map takes its
     partner's value (:func:`_with_duals`), so L_{b+3-k} = L_k, the rule sees
     the same zeros for both maps of a pair, and an open pair is finished
-    once.  At b = 1 mod 4 the self-dual middle map, 2k = b + 3, is bounded
-    in its skew form, with the same rank: its unit pivots come in mirrored
-    pairs, a bound of at least s - 1 on a residual of s rows is exact (a
-    skew rank is even), and a dense open residual takes the Pfaffian
-    finish; every other open residual is finished by the sparse kernel
-    with any pivot (see :func:`cuphom.exact_linalg.q_rank_bound`).
+    once.  At b = 1 mod 4 the self-dual middle map, 2k = b + 3, is never
+    open: :func:`cuphom.exact_linalg.skew_q_rank` ranks it exactly in its
+    skew form, so L = r there from the start.
     """
     b = f.rank
     ranks, open_maps = {}, {}
-    for k in range(3, (b + 3) // 2 + 1):
+    for k in kept_degrees(b):
         if 2 * k == b + 3 and b % 4 == 1:
-            ranks[k], more = q_rank_bound(skew_rows(f), skew=True)
+            ranks[k], more = skew_q_rank(skew_rows(f)), None
         else:
             ranks[k], more = q_rank_bound(boundary_rows(f, k))
         if more:
@@ -222,7 +217,7 @@ def mod_p_degree_dims(f, p):
     require_prime(p)
     b = f.rank
     return _dims(b, _with_duals(b, {k: rank_over_field(boundary_rows(f, k, p), p)
-                                    for k in range(3, (b + 3) // 2 + 1)}))
+                                    for k in kept_degrees(b)}))
 
 
 def h_mod_p(f, p):

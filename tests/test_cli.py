@@ -298,7 +298,7 @@ def test_each_map_eliminated_once_per_ring(tmp_path, capsys, monkeypatch):
     import cuphom.homology as hom
 
     snf_seen, rank_seen, q_seen = [], [], []
-    real_snf, real_rank, real_q = hom.smith_normal_form, hom.rank_over_field, hom.q_rank_bound
+    real_snf, real_rank = hom.smith_normal_form, hom.rank_over_field
 
     def counted_snf(rows):
         snf_seen.append(rows)
@@ -308,22 +308,27 @@ def test_each_map_eliminated_once_per_ring(tmp_path, capsys, monkeypatch):
         rank_seen.append((characteristic, [dict(r) for r in rows]))
         return real_rank(rows, characteristic)
 
-    def counted_q(rows, skew=False):
-        q_seen.append((skew, [dict(r) for r in rows]))
-        return real_q(rows, skew)
+    def counted_q(name):
+        real = getattr(hom, name)
+
+        def counted(rows):
+            q_seen.append((name, [dict(r) for r in rows]))
+            return real(rows)
+        return counted
 
     monkeypatch.setattr(hom, "smith_normal_form", counted_snf)
     monkeypatch.setattr(hom, "rank_over_field", counted_rank)
-    monkeypatch.setattr(hom, "q_rank_bound", counted_q)
+    for name in ("q_rank_bound", "skew_q_rank"):
+        monkeypatch.setattr(hom, name, counted_q(name))
 
-    # b = 7, 8 and 9; at b = 9 = 1 mod 4 the self-dual d_6 is bounded in its skew form.
+    # b = 7, 8 and 9; at b = 9 = 1 mod 4 the self-dual d_6 is ranked in its skew form.
     for f, h, h_2 in ((surface_circle(3), 35, 36), (mapping_torus(3, 1), 70, 72),
                       (surface_circle(4), 126, 136)):
         path = write_form(tmp_path / "f.json", f)
         kept = range(3, (f.rank + 3) // 2 + 1)
-        q_inputs = [(False, boundary_rows(f, k)) for k in kept]
+        q_inputs = [("q_rank_bound", boundary_rows(f, k)) for k in kept]
         if f.rank % 4 == 1:
-            q_inputs[-1] = (True, skew_rows(f))  # the middle map, 2k = b + 3
+            q_inputs[-1] = ("skew_q_rank", skew_rows(f))  # the middle map, 2k = b + 3
 
         def expect_ranks(primes):
             return sorted(((p, boundary_rows(f, k, p)) for p in primes for k in kept), key=repr)

@@ -7,10 +7,10 @@ import pytest
 from conftest import random_form, seeded
 
 from cuphom.cup_complex import boundary_rows
-from cuphom.exact_linalg import (BOUND_PRIME, PRIME_LIMIT, _dense_snf, _divisibility_chain,
+from cuphom.exact_linalg import (BOUND_PRIME, PRIME_LIMIT, _dense, _dense_snf, _divisibility_chain,
                                  _eliminate, _pfaffian_rank, _rank_mod_p, _round_div,
-                                 is_prime, q_rank_bound, rank_over_field, smith_normal_form,
-                                 sparse_product)
+                                 is_prime, q_rank_bound, rank_over_field, skew_q_rank,
+                                 smith_normal_form, sparse_product)
 from cuphom.exterior import blade_basis
 from cuphom.forms import FormError, ThreeForm, surface_circle, torus3
 from cuphom.homology import h_mod_p
@@ -611,6 +611,17 @@ def test_stopped_unit_phase_resumes_to_the_whole_phase():
     assert stops > 20, stops
 
 
+def test_dense_switch_is_an_eighth_of_the_free_columns_from_16_entries():
+    # The one switch of both sparse kernels.  Eight disjoint rows of 16
+    # units on 128 columns are dense at once, so the stopping unit phase
+    # takes no pivot; one more column makes them sparse, so it pivots.
+    assert _dense(16, 128) and not _dense(16, 129) and not _dense(15, 120)
+    rows = [{j: 1 for j in range(16 * i, 16 * i + 16)} for i in range(8)]
+    assert _eliminate([dict(r) for r in rows], stop=True) == (0, rows)
+    wider = rows + [{j: 1 for j in range(112, 129)}]
+    assert _eliminate(wider, stop=True)[0] > 0
+
+
 def test_q_rank_matches_bareiss_when_a_residual_is_left():
     rng = seeded(808)
     checked = 0
@@ -752,10 +763,10 @@ def test_pfaffian_finish_matches_bareiss_on_skew_matrices():
 
 def test_skew_q_rank_pairs_units_and_matches_bareiss(finishes):
     # Paired unit pivots keep the residual skew, with its rows labelled by
-    # the sorted columns they use; the bound and the finish agree with the
-    # oracle.  Products B C B^T leave dense residuals, for the Pfaffian
-    # finish; random skew matrices with few entries leave sparse ones, for
-    # the any-pivot mode of the sparse kernel.
+    # the sorted columns they use; the rank agrees with the oracle.
+    # Products B C B^T leave dense residuals, for the Pfaffian finish;
+    # random skew matrices with few entries leave sparse ones, for the
+    # any-pivot mode of the sparse kernel.
     rng = seeded(1919)
     for trial in range(80):
         n = rng.randint(2, 40)
@@ -773,9 +784,7 @@ def test_skew_q_rank_pairs_units_and_matches_bareiss(finishes):
         assert len(labels) == len(rest)
         for i, row in zip(labels, rest):
             assert all(rest[labels.index(j)].get(i) == -v for j, v in row.items())
-        bound, more = q_rank_bound(_skew_rows(dense), skew=True)
-        rank = _dense_rank_char0(dense)
-        assert bound <= rank == _last_bound(bound, more)
+        assert skew_q_rank(_skew_rows(dense)) == _dense_rank_char0(dense)
     assert finishes["_pfaffian_rank"] > 5 and finishes["any_pivot"] > 5, finishes
 
 

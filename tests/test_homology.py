@@ -8,8 +8,8 @@ from conftest import FINISHES, random_form, seeded, signed_permutation
 from test_exact_linalg import (_fraction_free_rank, _has_unit_row, _last_bound,
                                _min_scan_unit_phase)
 
-from cuphom.cup_complex import boundary_rows, skew_rows
-from cuphom.exact_linalg import BOUND_PRIME, _eliminate
+from cuphom.cup_complex import boundary_rows, kept_degrees, skew_rows
+from cuphom.exact_linalg import BOUND_PRIME, _eliminate, skew_q_rank
 from cuphom.forms import (FormError, ThreeForm, connected_sum, mapping_torus, surface_circle,
                           torus3, transform, trivial)
 from cuphom.homology import (AbelianGroup, _dims, _q_ranks, common_dim, cup_homology,
@@ -331,48 +331,61 @@ def _moduli_seen(monkeypatch):
 SPARSE_B13 = _dense_or_sparse_form(seeded(4), 13, 3, 0.05)
 
 
+def _is_skew(f, k):
+    """Whether d_k is the middle map at b = 1 mod 4, which _q_ranks ranks in its skew form."""
+    return 2 * k == f.rank + 3 and f.rank % 4 == 1
+
+
 def _bounded(f, k):
-    """q_rank_bound on d_k, as _q_ranks calls it (skew for the middle map at b = 1 mod 4)."""
+    """(bound, more) of d_k as _q_ranks takes it: q_rank_bound, or for the
+    skew middle map its exact skew_q_rank with nothing more."""
     import cuphom.exact_linalg as el
 
-    if 2 * k == f.rank + 3 and f.rank % 4 == 1:
-        return el.q_rank_bound(skew_rows(f), skew=True)
+    if _is_skew(f, k):
+        return el.skew_q_rank(skew_rows(f)), None
     return el.q_rank_bound(boundary_rows(f, k))
 
 
 def test_certified_q_ranks_match_the_fraction_free_path(monkeypatch, finishes):
     # Every map's rank, certified or finished, against the unit phase plus
     # the reference fraction-free loop on the whole residual (the path
-    # before bounds).  Open middle maps at b = 1 mod 4 go to the Pfaffian
-    # finish when their residual is dense, and to the any-pivot kernel when
-    # it is sparse.
+    # before bounds).  Middle maps at b = 1 mod 4 are never bounded: their
+    # skew residual goes to the Pfaffian finish when it is dense, and to the
+    # any-pivot kernel when it is sparse.
     rng = seeded(1111)
     forms = [surface_circle(g) for g in range(1, 7)]
     forms += [_dense_or_sparse_form(rng, rng.randint(3, 9), coeff_max, keep)
               for coeff_max in (1, 3, 9) for keep in (0.3, 1.0) for _ in range(5)]
     forms.append(SPARSE_B13)
     moduli = _moduli_seen(monkeypatch)
-    bounded = left_open = 0
+    bounded = left_open = skew_finished = 0
     finished = dict.fromkeys(FINISHES, 0)
     for f in forms:
         moduli.clear()
         finishes.update(dict.fromkeys(FINISHES, 0))
         ranks = _q_ranks(f)
-        bounded += moduli.count(2)  # one rank modulo 2 per nonempty residual
+        bounded += moduli.count(2)  # one rank modulo 2 per nonempty bounded residual
         for name in FINISHES:
             finished[name] += finishes[name]
+        if f is SPARSE_B13:
+            # Only its middle map is finished, by the any-pivot kernel.
+            assert (finishes["any_pivot"], finishes["_pfaffian_rank"]) == (1, 0)
         for k in range(3, f.rank + 1):
             units, rest = _eliminate(boundary_rows(f, k))
             assert ranks[k] == units + _fraction_free_rank(rest), (f, k)
+        # q_rank_bound finishes nothing until its iterator is drawn, so the
+        # finishes here are those of the skew middle map.
+        finishes.update(dict.fromkeys(FINISHES, 0))
+        for k in kept_degrees(f.rank):
             left_open += _bounded(f, k)[1] is not None
+        skew_finished += sum(finishes.values())
     # Rule (a) modulo 2 certified some residuals, and the others went on to
     # the prime or through a finisher.  At b <= 9 rule (b) seldom leaves a
     # map certified; the dense b = 10 form below checks it.
-    assert bounded > left_open >= sum(finished.values()) > 0, (bounded, left_open, finished)
-    # The dense b = 9 middle maps took the Pfaffian finish; of the sparse
-    # b = 13 form, only its middle map is finished, by the any-pivot kernel.
-    assert finished["_pfaffian_rank"] > 0, finished
-    assert (finishes["any_pivot"], finishes["_pfaffian_rank"]) == (1, 0)
+    assert bounded > left_open >= sum(finished.values()) - skew_finished, (
+        bounded, left_open, finished, skew_finished)
+    # The dense b = 9 middle maps took the Pfaffian finish.
+    assert skew_finished > 0 and finished["_pfaffian_rank"] > 0, finished
 
 
 def test_stopped_q_ranks_finish_to_the_fraction_free_path(monkeypatch, finishes):
@@ -382,8 +395,9 @@ def test_stopped_q_ranks_finish_to_the_fraction_free_path(monkeypatch, finishes)
     # any-pivot kernel never sees a unit entry, checks rule (a) again and
     # only then eliminates exactly.  Dense +-1 b = 10: d_6 stops and takes
     # the any-pivot finish.  Dense coefficient-9 b = 9: d_4 and d_5 stop and
-    # are certified there; the skew middle map does not stop and takes the
-    # Pfaffian finish.  The sparse b = 13 form stops nowhere.
+    # are certified there; the skew middle map, ranked by skew_q_rank, does
+    # not stop and takes the Pfaffian finish.  The sparse b = 13 form stops
+    # nowhere.
     import cuphom.exact_linalg as el
 
     real = el._eliminate
@@ -400,7 +414,7 @@ def test_stopped_q_ranks_finish_to_the_fraction_free_path(monkeypatch, finishes)
     seen = {"stopped": 0, "stopped then any_pivot": 0, "skew then _pfaffian_rank": 0}
     for f in forms + [SPARSE_B13]:
         for k in range(3, (f.rank + 3) // 2 + 1):
-            skew = 2 * k == f.rank + 3 and f.rank % 4 == 1
+            skew = _is_skew(f, k)
             rows = skew_rows(f) if skew else boundary_rows(f, k)
             stopped = not skew and _has_unit_row(_eliminate(rows, stop=True)[1])
             assert not (stopped and f is SPARSE_B13), k
@@ -442,16 +456,56 @@ def test_dense_b10_h_rank_stops_at_the_switch_and_finishes_nothing(monkeypatch, 
     assert finishes == dict.fromkeys(FINISHES, 0), "exact finish ran"
 
 
+def test_skew_q_rank_takes_no_modular_rank(monkeypatch, finishes):
+    # The skew middle map is ranked exactly, with no rank modulo 2 or
+    # modulo the bound prime, against the whole unit phase plus the
+    # reference fraction-free loop on the map as built.  Multiples by 2P
+    # leave no unit, so the whole map is the residual.
+    moduli = _moduli_seen(monkeypatch)
+    rng = seeded(2626)
+    forms = [surface_circle(2), surface_circle(4)]
+    forms += [random_form(rng, b) for b in (5, 9) for _ in range(4)]
+    for f in forms:
+        m = (f.rank + 3) // 2
+        for c in (1, 2 * BOUND_PRIME):
+            g = _scaled(f, c)
+            units, rest = _eliminate(boundary_rows(g, m))
+            moduli.clear()
+            assert skew_q_rank(skew_rows(g)) == units + _fraction_free_rank(rest), (f, c)
+            assert moduli == [], (f, c)
+    assert finishes["_pfaffian_rank"] > 0 and finishes["any_pivot"] > 0, finishes
+
+
+@pytest.mark.parametrize("b", [5, 9])
+def test_skew_middle_degree_homology_never_vanishes(b):
+    # Rule (b) could certify the middle map d_m, 2m = b + 3, only where
+    # H_{m-3} = H_m = 0 (the two degrees are dual), which needs rank d_m =
+    # C(b, m-3) - rank d_{m-3}.  That is 5 at b = 5; at b = 9 it is 84 for
+    # the zero form, whose d_6 is 0, and 83 for any other (rank d_3 = 1).
+    # A skew rank is even, so the exact dimensions there are never zero.
+    rng = seeded(2700 + b)
+    m = (b + 3) // 2
+    forms = [trivial(b)] + [random_form(rng, b) for _ in range(12 if b == 5 else 6)]
+    for f in forms:
+        ranks = _q_ranks(f)
+        dims = _dims(b, ranks)
+        assert ranks[m] % 2 == 0 and dims[m - 3] == dims[m] > 0, (f, dims)
+    assert dims == field_homology_oracle(forms[-1], 0)
+
+
 def test_block_sums_finish_non_skew_open_maps_with_any_pivot(finishes):
     # The sums have even rank or b = 3 mod 4, so no map is skew; the maps
     # that mix the torus3(2) block with the other one keep an open residual
-    # of entries ±2, which the any-pivot kernel finishes.
+    # of entries ±2, which the any-pivot kernel finishes.  Of the blocks,
+    # only surface_circle(4), b = 9, has a skew middle map, and its dense
+    # residual takes the one Pfaffian finish.
     for f1, h1 in ((surface_circle(3), 35), (surface_circle(4), 126), (mapping_torus(3, 1), 70)):
         assert h_rank(f1) == h1
-        before = finishes["any_pivot"]
+        before = dict(finishes)
         assert h_rank(connected_sum(f1, torus3(2))) == 2 * h1 * 3
-        assert finishes["any_pivot"] > before, f1
-    assert finishes["_pfaffian_rank"] == 0
+        assert finishes["any_pivot"] > before["any_pivot"], f1
+        assert finishes["_pfaffian_rank"] == before["_pfaffian_rank"], f1
+    assert finishes["_pfaffian_rank"] == 1
 
 
 def _scaled(f, c):
@@ -487,8 +541,8 @@ def _drawn_bounds(monkeypatch):
 
     drawn = []
 
-    def seen_bound(rows, skew=False):
-        bound, more = el.q_rank_bound(rows, skew)
+    def seen_bound(rows):
+        bound, more = el.q_rank_bound(rows)
         if more is None:
             return bound, None
         drawn.append(0)
