@@ -5,13 +5,14 @@ Exit codes: 0 success, 1 a verified property failed, 2 bad input or usage.
 
 import argparse
 import json
+import os
 import sys
 
 from . import combinatorics, geography
-from .cup_complex import checked_maps, dump_boundary_matrices, kept_degrees
+from .cup_complex import dump_boundary_matrices
 from .forms import (FormError, _write_atomic, builtin_family, connected_sum, parse_form,
-                    serialize_form)
-from .homology import (AbelianGroup, common_dim, cup_homology, h_rank, homology_from_maps,
+                    require_prime, serialize_form)
+from .homology import (AbelianGroup, checked_homology, common_dim, cup_homology, h_rank,
                        mod_p_degree_dims, uct_check)
 from .report import CheckReport
 
@@ -31,6 +32,8 @@ def _load_form(path):
 
 def _cmd_compute(args):
     f = _load_form(args.form)
+    if args.dump_matrices:
+        os.makedirs(args.dump_matrices, exist_ok=True)
     if args.prime is not None:
         dims = mod_p_degree_dims(f, args.prime)
         per_degree = [AbelianGroup(0, (args.prime,) * d) for d in dims]
@@ -105,13 +108,11 @@ def _cmd_verify(args):
         primes = [int(p) for p in args.primes.split(",") if p]
     except ValueError:
         raise FormError(f"--primes must be a comma-separated integer list, got {args.primes!r}")
-    # Each map is built and each pair multiplied once; the kept half waits
-    # for the check, since homology of a broken complex is meaningless.
-    d_squared, maps = checked_maps(f)
-    kept = [(k, rows) for k, rows in maps if k in kept_degrees(f.rank)]
+    for p in primes:
+        require_prime(p)
+    d_squared, result = checked_homology(f)
     reports = [d_squared]
-    if d_squared.ok:
-        result = homology_from_maps(f.rank, kept)
+    if result is not None:
         if f.rank >= 1:
             euler = CheckReport("h_ev = h_odd")
             euler.add("h_ev = h_odd", result.h_ev == result.h_odd,

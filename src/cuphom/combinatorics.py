@@ -29,7 +29,11 @@ def lower_bound_L(b):
     """Lower bound L(b) <= h at rank b: 3^((b-1)/2) odd, 2*3^(b/2-1) even.
 
     Attained at b = 3, 4, 6, 7 and 8, but not at b = 5, where the forms of
-    the three orbits give h = 10, 12 and 16 > L(5) = 9.
+    the three orbits give h = 10, 12 and 16 > L(5) = 9.  There the middle
+    map d_4 is skew-symmetric and 5 x 5
+    (:func:`cuphom.cup_complex.skew_rows`), so its rank is even and at most
+    4: H_1 and H_4 are nonzero, while S(5, 1) = 0, which gives
+    h >= L(5) + 1 = 10.
     """
     if b < 1:
         raise ValueError(f"rank must be >= 1, got {b}")

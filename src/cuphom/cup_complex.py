@@ -219,46 +219,33 @@ def _filled(f, k, p, table):
     return target
 
 
-def composites(f, top=None):
-    """Yield (k, rows of d_k, nonzero (row, col) entries of d_{k-3} o d_k) for 3 <= k <= top.
-
-    ``top`` is capped at the rank, its default.  The entries are None where
-    no map leaves degree k - 3 (k < 6).  Maps come subcomplex by subcomplex
-    (degree mod 3), each built once, and at most two are held at a time;
-    callers must not modify the rows.
-    """
-    top = f.rank if top is None else min(top, f.rank)
-    for residue in range(3):
-        prev = None
-        for k in range(residue + 3, top + 1, 3):
-            cur = boundary_rows(f, k)
-            bad = None
-            if prev is not None:
-                product = sparse_product(prev, cur)
-                bad = [(r, c) for r, row in enumerate(product) for c in row]
-            yield k, cur, bad
-            prev = cur
-
-
-def checked_maps(f):
-    """The d∘d check of every composable pair, and the maps it builds.
+def checked_maps(f, top=None):
+    """The d∘d check of each composable pair up to d_top, and the maps it builds.
 
     Returns ``(report, maps)``: ``maps`` yields (k, rows of d_k) for
-    k = 3..b, each map built once and each pair multiplied once
-    (:func:`composites`), and adds the check of d_{k-3} o d_k = 0 to
-    ``report`` as it goes; the report is complete once ``maps`` is used up.
-    A failure signals an implementation bug, never bad input: the composite
-    is contraction by mu ^ mu, which vanishes identically.
+    3 <= k <= top (capped at the rank, its default), subcomplex by
+    subcomplex (degree mod 3), each map built once and at most two held at
+    a time.  Before it yields d_k it multiplies d_{k-3} o d_k, the pair's
+    one product, and adds its check to ``report``, which is complete once
+    ``maps`` is used up.  Callers must not modify the rows.  A failure
+    signals an implementation bug, never bad input: the composite is
+    contraction by mu ^ mu, which vanishes identically.
     """
+    top = f.rank if top is None else min(top, f.rank)
     rep = CheckReport(f"d-squared on rank {f.rank}")
 
     def maps():
-        for k, rows, bad in composites(f):
-            if bad is not None:
-                bad = [(k, r, c) for r, c in bad]
-                rep.add(f"d_{k - 3} o d_{k} = 0", not bad,
-                        "" if not bad else f"nonzero at {bad[:5]}")
-            yield k, rows
+        for residue in range(3):
+            prev = None
+            for k in range(residue + 3, top + 1, 3):
+                cur = boundary_rows(f, k)
+                if prev is not None:
+                    bad = [(k, r, c) for r, row in enumerate(sparse_product(prev, cur))
+                           for c in row]
+                    rep.add(f"d_{k - 3} o d_{k} = 0", not bad,
+                            "" if not bad else f"nonzero at {bad[:5]}")
+                yield k, cur
+                prev = cur
         if not rep.items:
             rep.add("no composable pairs", True, "vacuous")
     return rep, maps()

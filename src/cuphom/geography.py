@@ -157,7 +157,7 @@ def _load_checkpoint(cp_path, params):
     JSON type and the same params, ``completed`` a list of distinct shard
     indices in ``range(shards)``, ``enumerated_count`` the number of forms in
     those shards and ``partial`` a map from decimal h to terms that
-    :class:`~cuphom.forms.ThreeForm` accepts for a rank-b witness.
+    :class:`~cuphom.forms.ThreeForm` accepts for a rank-b witness of that h.
     """
     with open(cp_path, encoding="utf-8") as fh:
         state = json.load(fh)
@@ -188,6 +188,9 @@ def _load_checkpoint(cp_path, params):
             form = ThreeForm(b, terms)
         except FormError as e:
             raise ValueError(f"checkpoint {cp_path}: witness for h = {h}: {e}") from None
+        if h_rank(form) != int(h):
+            raise ValueError(f"checkpoint {cp_path}: witness for h = {h} has "
+                             f"h = {h_rank(form)}")
         realized[int(h)] = (witness_key(form), form)
     return state, realized
 

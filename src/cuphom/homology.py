@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .cup_complex import boundary_rows, composites, dual_degree, kept_degrees, skew_rows
+from .cup_complex import boundary_rows, checked_maps, dual_degree, kept_degrees, skew_rows
 from .exact_linalg import (q_rank_bound, rank_over_field, skew_q_rank, smith_normal_form,
                            _divisibility_chain)
 from .forms import FormError, require_prime
@@ -78,40 +78,43 @@ def cup_homology(f):
     """Full integral homology, split by exterior degree and by parity.
 
     Each adjacent pair of maps with top k <= (b+6)/2 is checked to compose
-    to zero; every other pair is the transpose of one of these.  A nonzero
-    composite is a hard error, since the complex itself is broken.  The
-    kept maps go to :func:`homology_from_maps` as they are built.
+    to zero (:func:`checked_homology`); every other pair is the transpose
+    of one of these.  A nonzero composite is a hard error, since the
+    complex itself is broken.
+    """
+    rep, result = checked_homology(f, (f.rank + 6) // 2)
+    if result is None:
+        raise RuntimeError(f"{rep.failures()[0].name} fails: not a chain complex")
+    return result
+
+
+def checked_homology(f, top=None):
+    """The d∘d report of the pairs up to d_top (:func:`cuphom.cup_complex.checked_maps`),
+    and the integral homology, or None unless every pair composes to zero.
+
+    Each kept map, k <= (b+3)/2, is eliminated once as the walk yields it,
+    while every pair checked so far composes to zero: its Smith normal form
+    gives both its rank (where it leaves a degree) and the torsion it cuts
+    out (where it enters one), and its dual d_{b+3-k} takes the same
+    factors.  After a failure no map is eliminated, but the walk goes on, so
+    the report is complete.  The invariant factors above 1 are the tail of a
+    divisibility chain, so they are the torsion as they stand.
     """
     b = f.rank
-
-    def kept():
-        for k, rows, nonzeros in composites(f, (b + 6) // 2):
-            if nonzeros:
-                raise RuntimeError(f"d_{k - 3} o d_{k} != 0: not a chain complex")
-            if k in kept_degrees(b):
-                yield k, rows
-    return homology_from_maps(b, kept())
-
-
-def homology_from_maps(b, kept):
-    """Integral homology at rank b from its kept maps, pairs (k, rows of d_k)
-    for k <= (b+3)/2, of a complex whose d∘d = 0 is already checked.
-
-    Each kept map is eliminated once: its Smith normal form gives both its
-    rank (where it leaves a degree) and the torsion it cuts out (where it
-    enters one), and its dual d_{b+3-k} takes the same factors.  The
-    invariant factors above 1 are the tail of a divisibility chain, so they
-    are the torsion as they stand.
-    """
-    snf = _with_duals(b, {k: smith_normal_form(rows) for k, rows in kept})
+    kept = kept_degrees(b)
+    rep, maps = checked_maps(f, top)
+    snf = {k: smith_normal_form(rows) for k, rows in maps if k in kept and rep.ok}
+    if not rep.ok:
+        return rep, None
+    snf = _with_duals(b, snf)
     free = _dims(b, {k: len(factors) for k, factors in snf.items()})
     into = [snf.get(k + 3, ()) for k in range(b + 1)]  # factors of the map into degree k
     groups = [AbelianGroup(n, t[t.count(1):]) for n, t in zip(free, into)]
     even = direct_sum(groups[0::2])
     odd = direct_sum(groups[1::2])
-    return CupHomologyResult(rank=b, by_degree=tuple(groups), even=even, odd=odd,
-                             h_ev=even.free_rank, h_odd=odd.free_rank,
-                             h=common_dim([g.free_rank for g in groups]))
+    return rep, CupHomologyResult(rank=b, by_degree=tuple(groups), even=even, odd=odd,
+                                  h_ev=even.free_rank, h_odd=odd.free_rank,
+                                  h=common_dim([g.free_rank for g in groups]))
 
 
 def common_dim(dims):
@@ -165,10 +168,10 @@ def _q_ranks(f):
     with every L <= r, a zero on either side forces r_k = L_k.  This is the
     universal-coefficients inequality dim_Q H <= dim_{F_p} H at zero, and
     it relies on d o d = 0.  That holds for every form, since mu ^ mu = 0.
-    :func:`cup_homology` (half the pairs directly, the rest as their
-    transposes) and ``cuphom verify`` check it for each form they are
-    given; ``test_compiled_maps_match_contraction`` and
-    ``test_c2a_d_squared_zero`` check the compiled entry tables.
+    :func:`checked_homology` checks it for each form that :func:`cup_homology`
+    (half the pairs directly, the rest as their transposes) or ``cuphom
+    verify`` (every pair) is given; ``test_compiled_maps_match_contraction``
+    and ``test_c2a_d_squared_zero`` check the compiled entry tables.
 
     Every kept map is bounded first.  Then each open map moves one step at
     a time, in rounds over the open maps: before each step the rule is

@@ -230,6 +230,30 @@ def test_infeasible_rank_exit2(tmp_path, capsys, monkeypatch):
     assert "exceeds" in capsys.readouterr().err
 
 
+def test_bad_arguments_exit2_before_any_map(tmp_path, capsys, monkeypatch):
+    # A --primes entry that is not prime, and a --dump-matrices directory
+    # that cannot be made, are refused before any map is built.
+    import cuphom.cup_complex as cc
+    import cuphom.homology as hom
+
+    def no_build(*args):
+        raise AssertionError("a boundary map was built")
+
+    for module in (cc, hom):
+        monkeypatch.setattr(module, "boundary_rows", no_build)
+    monkeypatch.setattr(cc, "_entry_table", no_build)
+    path = write_form(tmp_path / "t4.json", torus3(4))
+    assert main(["verify", path, "--primes", "2,4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "4 is not prime" in captured.err
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert main(["compute", path, "--dump-matrices", str(blocker)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and str(blocker) in captured.err
+    assert blocker.read_text() == ""
+
+
 def test_unknown_subcommand_exit2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
@@ -357,11 +381,11 @@ def test_each_map_eliminated_once_per_ring(tmp_path, capsys, monkeypatch):
 
 
 def test_verify_reports_a_broken_complex(tmp_path, capsys, monkeypatch, broken_d6):
-    def no_homology(*args):
-        raise AssertionError("verify computed homology of a broken complex")
+    def no_later_stage(*args):
+        raise AssertionError("verify went past the check of a broken complex")
 
-    monkeypatch.setattr("cuphom.cli.cup_homology", no_homology)
-    monkeypatch.setattr("cuphom.cli.homology_from_maps", no_homology)
+    monkeypatch.setattr("cuphom.combinatorics.bounds_report", no_later_stage)
+    monkeypatch.setattr("cuphom.cli.mod_p_degree_dims", no_later_stage)
     path = write_form(tmp_path / "f.json", ThreeForm(6, ((1, 2, 3, 1), (4, 5, 6, 1))))
     assert main(["verify", path, "--primes", "2"]) == 1
     out = capsys.readouterr().out
@@ -372,7 +396,8 @@ def test_verify_reports_a_broken_complex(tmp_path, capsys, monkeypatch, broken_d
 def test_verify_builds_each_map_and_product_once(tmp_path, capsys, monkeypatch):
     # The d∘d check and the homology share one walk: every integral map is
     # built once and every composable pair multiplied once; only the mod-p
-    # maps of the UCT check are built apart.
+    # maps of the UCT check are built apart.  compute walks the same way up
+    # to d_top, top = (b+6)/2, the last pair that is not a transpose.
     import cuphom.cup_complex as cc
     import cuphom.homology as hom
 
@@ -390,7 +415,7 @@ def test_verify_builds_each_map_and_product_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cc, "boundary_rows", counted_rows)
     monkeypatch.setattr(hom, "boundary_rows", counted_rows)
     monkeypatch.setattr(cc, "sparse_product", counted_product)
-    for f in (surface_circle(5), mapping_torus(3, 1)):  # b = 11 and b = 8
+    for f, h in ((surface_circle(5), 462), (mapping_torus(3, 1), 70)):  # b = 11 and b = 8
         built.clear()
         products.clear()
         path = write_form(tmp_path / "f.json", f)
@@ -400,6 +425,14 @@ def test_verify_builds_each_map_and_product_once(tmp_path, capsys, monkeypatch):
         assert sorted(k for k, p in built if p == 0) == list(range(3, b + 1))
         assert sorted(k for k, p in built if p == 2) == list(range(3, (b + 3) // 2 + 1))
         assert len(products) == b - 5  # d_{k-3} o d_k for k = 6..b
+
+        built.clear()
+        products.clear()
+        assert main(["compute", path]) == 0
+        assert capsys.readouterr().out.endswith(f"h = {h}\n")
+        top = (b + 6) // 2
+        assert sorted(built) == [(k, 0) for k in range(3, top + 1)]
+        assert len(products) == top - 5  # d_{k-3} o d_k for k = 6..top
 
 
 def test_sum_then_verify_applies_the_connected_sum_bound(tmp_path, capsys):
@@ -444,7 +477,10 @@ def test_sum_then_verify_applies_the_connected_sum_bound(tmp_path, capsys):
                                      '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [], '
                                      '"enumerated_count": 0, "partial": {"4": [[1, 2, 3, 0]]}}',
                                      '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [], '
-                                     '"enumerated_count": 0, "partial": {"4": [[1, 2, 3, true]]}}'])
+                                     '"enumerated_count": 0, "partial": {"4": [[1, 2, 3, true]]}}',
+                                     # A valid witness filed under another h (its h is 3).
+                                     '{"b": 3, "coeff_max": 1, "shards": 2, "completed": [0], '
+                                     '"enumerated_count": 2, "partial": {"4": [[1, 2, 3, 1]]}}'])
 def test_malformed_checkpoint_exit2(tmp_path, capsys, sidecar):
     out = tmp_path / "b3.json"
     cp = tmp_path / "b3.json.checkpoint.json"

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_form, seeded
 
-from cuphom.cup_complex import (_check_duality, _entry_table, boundary_rows, composites,
+from cuphom.cup_complex import (_check_duality, _entry_table, boundary_rows, checked_maps,
                                 dual_degree, dump_boundary_matrices, render_matrix_grid,
                                 skew_rows, verify_d_squared)
 from cuphom.exterior import blade_basis
@@ -259,21 +259,32 @@ def test_failed_middle_certificate_stops_homology(monkeypatch):
 
 def test_mod3_partition():
     # Maps come subcomplex by subcomplex; only maps two steps into their
-    # subcomplex have a predecessor to compose with.
-    def steps(f):
-        return [(k, bad is not None) for k, _, bad in composites(f)]
+    # subcomplex have a predecessor to compose with, and that pair is
+    # checked before the map is yielded.
+    def steps(f, top=None):
+        rep, maps = checked_maps(f, top)
+        out, checked = [], 0
+        for k, _ in maps:
+            out.append((k, len(rep.items) > checked))
+            checked = len(rep.items)
+        return out
 
     assert steps(trivial(2)) == []
     assert steps(trivial(5)) == [(3, False), (4, False), (5, False)]
     assert steps(trivial(8)) == [(3, False), (6, True), (4, False), (7, True),
                                  (5, False), (8, True)]
+    assert steps(trivial(8), 6) == [(3, False), (6, True), (4, False), (5, False)]
+    assert steps(trivial(5), 9) == steps(trivial(5))
 
 
 def test_mod3_torus_boundary():
-    assert list(composites(torus3(4))) == [(3, [{0: 4}], None)]
-    for k, rows, bad in composites(surface_circle(3)):
+    rep, maps = checked_maps(torus3(4))
+    assert list(maps) == [(3, [{0: 4}])]
+    assert [(item.name, item.ok) for item in rep.items] == [("no composable pairs", True)]
+    rep, maps = checked_maps(surface_circle(3))
+    for k, rows in maps:
         assert rows == boundary_rows(surface_circle(3), k)
-        assert bad in (None, [])
+    assert rep.ok and len(rep.items) == 2  # d_{k-3} o d_k for k = 6, 7 at b = 7
 
 
 def test_d_squared_reports():

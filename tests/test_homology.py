@@ -12,8 +12,9 @@ from cuphom.cup_complex import boundary_rows, kept_degrees, skew_rows
 from cuphom.exact_linalg import BOUND_PRIME, _eliminate, skew_q_rank
 from cuphom.forms import (FormError, ThreeForm, connected_sum, mapping_torus, surface_circle,
                           torus3, transform, trivial)
-from cuphom.homology import (AbelianGroup, _dims, _q_ranks, common_dim, cup_homology,
-                             direct_sum, h_mod_p, h_rank, k_p, mod_p_degree_dims, uct_check)
+from cuphom.homology import (AbelianGroup, _dims, _q_ranks, checked_homology, common_dim,
+                             cup_homology, direct_sum, h_mod_p, h_rank, k_p, mod_p_degree_dims,
+                             uct_check)
 from cuphom.oracles import field_homology_oracle
 
 
@@ -67,13 +68,34 @@ def test_cup_homology_eliminates_each_map_once(monkeypatch):
         assert unseen == []
 
 
-def test_cup_homology_rejects_nonchain(broken_d6):
+def test_cup_homology_rejects_nonchain(monkeypatch, broken_d6):
+    # No Smith normal form is taken after the failing pair d_3 o d_6.  The
+    # walk goes d_3, d_6 | d_4 | d_5 at b = 6 and d_3, d_6, d_9 | d_4, d_7 |
+    # d_5, d_8 at b = 9, so only d_3 is eliminated; the walk still checks
+    # every later pair, so the report is complete.
     import cuphom.cup_complex as cc
+    import cuphom.homology as hom
 
+    seen = []
+    real = hom.smith_normal_form
+
+    def counted_snf(rows):
+        seen.append(rows)
+        return real(rows)
+
+    monkeypatch.setattr(hom, "smith_normal_form", counted_snf)
     f = ThreeForm(6, ((1, 2, 3, 1), (4, 5, 6, 1)))
     assert [item.name for item in cc.verify_d_squared(f).failures()] == ["d_3 o d_6 = 0"]
-    with pytest.raises(RuntimeError, match="not a chain complex"):
+    with pytest.raises(RuntimeError, match="d_3 o d_6 = 0 fails: not a chain complex"):
         cup_homology(f)
+    assert seen == [boundary_rows(f, 3)]
+    seen.clear()
+    f = ThreeForm(9, ((1, 2, 3, 1), (4, 5, 6, 1), (7, 8, 9, 1)))
+    rep, result = checked_homology(f)
+    assert result is None and seen == [boundary_rows(f, 3)]
+    assert [(item.name, item.ok) for item in rep.items] == [
+        ("d_3 o d_6 = 0", False), ("d_6 o d_9 = 0", True), ("d_4 o d_7 = 0", True),
+        ("d_5 o d_8 = 0", True)]
 
 
 def test_cup_homology_torus_family():
